@@ -1,8 +1,8 @@
 /**
  * @file
  * Simulation-core scaling bench: how far the rebuilt core (calendar
- * event queue, arena-pooled in-flight records, struct-of-arrays
- * function state) pushes catalog and cluster size.
+ * event queue, arena-pooled in-flight records) pushes catalog and
+ * cluster size.
  *
  * Three tiers share one grid runner:
  *  - default / --scale-functions N: weak-scaling grid — functions,
@@ -181,7 +181,7 @@ main(int argc, char** argv)
         }
         table.print();
     }
-    paperNote("the calendar queue + arena/SoA core keeps per-event "
+    paperNote("the calendar queue + arena core keeps per-event "
               "cost flat as functions x nodes grow; events/sec, wall "
               "and RSS are hardware-dependent, so they stay out of "
               "the byte-compared golden artifact");

@@ -275,13 +275,9 @@ Cluster::addWarm(NodeId nodeId, FunctionId function, MegaBytes memoryMb,
         committedSpend_ += container.committedDollars;
     }
     warmByFn_[function].push_back(container.id);
-    if (function >= warmCountByFn_.size()) {
+    if (function >= warmCountByFn_.size())
         warmCountByFn_.resize(function + 1, 0);
-        compressedCountByFn_.resize(function + 1, 0);
-    }
     ++warmCountByFn_[function];
-    if (compressed)
-        ++compressedCountByFn_[function];
     const ContainerId id = container.id;
     warmPool_.emplace(id, container);
     return id;
@@ -340,8 +336,6 @@ Cluster::removeWarm(ContainerId id, Seconds now)
         panic("Cluster: residency underflow for function ",
               container.function);
     --warmCountByFn_[container.function];
-    if (container.compressed)
-        --compressedCountByFn_[container.function];
     warmPool_.erase(it);
     return container;
 }
@@ -361,13 +355,6 @@ Cluster::resizeWarm(ContainerId id, MegaBytes newMemoryMb,
     if (delta > 0 && node.freeMemoryMb() + kMemEps < delta)
         panic("Cluster: resizeWarm overcommits node ", container.node);
     node.warmMemoryMb += delta;
-    if (nowCompressed != container.compressed) {
-        auto& count = compressedCountByFn_[container.function];
-        if (nowCompressed)
-            ++count;
-        else if (count > 0)
-            --count;
-    }
     container.memoryMb = newMemoryMb;
     container.compressed = nowCompressed;
 }
@@ -532,14 +519,6 @@ Cluster::warmCount(FunctionId function) const
 {
     return function < warmCountByFn_.size()
         ? warmCountByFn_[function]
-        : 0;
-}
-
-std::size_t
-Cluster::compressedWarmCount(FunctionId function) const
-{
-    return function < compressedCountByFn_.size()
-        ? compressedCountByFn_[function]
         : 0;
 }
 

@@ -347,9 +347,6 @@ class Cluster
      */
     std::size_t warmCount(FunctionId function) const;
 
-    /** Number of *compressed* warm containers for one function. O(1). */
-    std::size_t compressedWarmCount(FunctionId function) const;
-
     // --- snapshot residency -------------------------------------------
 
     /**
@@ -489,13 +486,12 @@ class Cluster
     std::unordered_map<ContainerId, WarmContainer> warmPool_;
     std::unordered_map<FunctionId, std::vector<ContainerId>> warmByFn_;
     /**
-     * Dense per-function warm/compressed residency counters (SoA,
-     * indexed by FunctionId, grown on demand) so policy scans over the
-     * catalog read a flat array instead of hashing into warmByFn_.
-     * Maintained by addWarm/removeWarm/resizeWarm.
+     * Dense per-function warm residency counter (indexed by
+     * FunctionId, grown on demand) so policy scans over the catalog
+     * read a flat array instead of hashing into warmByFn_. Maintained
+     * by addWarm/removeWarm.
      */
     std::vector<std::uint32_t> warmCountByFn_;
-    std::vector<std::uint32_t> compressedCountByFn_;
     ContainerId nextContainer_ = 1;
     std::unordered_map<SnapshotId, SnapshotRecord> snapshotPool_;
     std::unordered_map<FunctionId, std::vector<SnapshotId>>

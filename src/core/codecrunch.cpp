@@ -1,7 +1,6 @@
 #include "core/codecrunch.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 
 #include "common/logging.hpp"
@@ -457,20 +456,18 @@ CodeCrunch::onTick(Seconds)
     // A poisoned estimate (NaN/inf from degenerate history, e.g. after
     // fault churn) would propagate through every objective term; skip
     // the whole tick and keep serving the last-good solutions.
-    if (config_.watchdog.enabled) {
-        for (const FunctionEstimate& e : estimates) {
-            if (estimateValid(e))
-                continue;
-            ++watchdogTrips_;
-            if (watchdogTrips_ == 1)
-                warn("CodeCrunch: watchdog tripped on invalid "
-                     "estimates; keeping last-good solutions");
-            emitWatchdogTrip(context_->traceSink(),
-                             context_->now(), watchdogTrips_);
-            lastTick_ = TickDebug{available, 0.0, lambda_,
-                                  invoked.size(), 0.0, true};
-            return;
-        }
+    for (const FunctionEstimate& e : estimates) {
+        if (estimateValid(e))
+            continue;
+        ++watchdogTrips_;
+        if (watchdogTrips_ == 1)
+            warn("CodeCrunch: watchdog tripped on invalid "
+                 "estimates; keeping last-good solutions");
+        emitWatchdogTrip(context_->traceSink(), context_->now(),
+                         watchdogTrips_);
+        lastTick_ = TickDebug{available, 0.0, lambda_, invoked.size(),
+                              0.0, true};
+        return;
     }
 
     const double costRate[kNumNodeTypes] = {
@@ -503,7 +500,6 @@ CodeCrunch::onTick(Seconds)
 
     opt::OptimizerResult result;
     std::vector<std::uint32_t> counts;
-    const auto wallStart = std::chrono::steady_clock::now();
     {
         CC_PHASE("crunch.optimize");
         if (config_.useSre) {
@@ -524,33 +520,23 @@ CodeCrunch::onTick(Seconds)
             result = descent.optimize(objective, start, rng_);
         }
     }
-    const double wallSeconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - wallStart).count();
 
     // --- watchdog: overrun / invalid result --------------------------
-    if (config_.watchdog.enabled) {
-        bool tripped = !std::isfinite(result.score) ||
-                       result.assignment.size() != invoked.size();
-        if (config_.watchdog.maxEvaluationsPerTick > 0 &&
-            result.evaluations >
-                config_.watchdog.maxEvaluationsPerTick)
-            tripped = true;
-        if (config_.watchdog.wallDeadlineSeconds > 0.0 &&
-            wallSeconds > config_.watchdog.wallDeadlineSeconds)
-            tripped = true;
-        if (tripped) {
-            ++watchdogTrips_;
-            if (watchdogTrips_ == 1)
-                warn("CodeCrunch: watchdog rejected a tick result (",
-                     result.evaluations, " evaluations, ",
-                     wallSeconds, " s); keeping last-good solutions");
-            emitWatchdogTrip(context_->traceSink(),
-                             context_->now(), watchdogTrips_);
-            lastTick_ = TickDebug{available, 0.0, lambda_,
-                                  invoked.size(), result.score, true};
-            return;
-        }
+    const std::size_t evaluationBudget =
+        config_.watchdog.maxEvaluationsPerTick;
+    if (!std::isfinite(result.score) ||
+        result.assignment.size() != invoked.size() ||
+        (evaluationBudget > 0 && result.evaluations > evaluationBudget)) {
+        ++watchdogTrips_;
+        if (watchdogTrips_ == 1)
+            warn("CodeCrunch: watchdog rejected a tick result (",
+                 result.evaluations,
+                 " evaluations); keeping last-good solutions");
+        emitWatchdogTrip(context_->traceSink(), context_->now(),
+                         watchdogTrips_);
+        lastTick_ = TickDebug{available, 0.0, lambda_, invoked.size(),
+                              result.score, true};
+        return;
     }
     // SRE fairness counters advance only for adopted results.
     if (config_.useSre) {

@@ -43,19 +43,12 @@ enum class ArchMode { Both, X86Only, ArmOnly };
  * poisoning the controller state.
  */
 struct WatchdogConfig {
-    bool enabled = true;
     /**
      * Objective-evaluation budget per tick; a result that spent more
      * is discarded. 0 = unlimited. This trigger is deterministic
      * (evaluation counts are part of the simulation contract).
      */
     std::size_t maxEvaluationsPerTick = 0;
-    /**
-     * Wall-clock budget per tick in seconds; 0 disables. Wall time is
-     * nondeterministic, so enabling this trades bit-reproducible runs
-     * for overload protection — leave it off in experiments.
-     */
-    double wallDeadlineSeconds = 0.0;
 };
 
 /**

@@ -19,8 +19,7 @@ Driver::Driver(const trace::Workload& workload,
                const cluster::ClusterConfig& clusterConfig,
                policy::Policy& policy, DriverConfig config)
     : workload_(workload), cluster_(clusterConfig), policy_(policy),
-      config_(config), collector_(workload.duration),
-      rng_(config.seed)
+      config_(config), rng_(config.seed)
 {
     if (config_.maxRetries < 0)
         fatal("Driver: maxRetries must be >= 0, got ",
@@ -33,14 +32,17 @@ Driver::Driver(const trace::Workload& workload,
               config_.retryBackoffBase, ", cap ",
               config_.retryBackoffCap, ", detect ",
               config_.failureDetectSeconds, ")");
+    // Workload::profile() indexes the catalog unchecked, so every
+    // invocation must name a dense id inside it.
+    for (const Invocation& invocation : workload.invocations)
+        if (invocation.function >= workload.functions.size())
+            fatal("Driver: invocation of function ", invocation.function,
+                  " outside the catalog of ", workload.functions.size(),
+                  " functions");
     lastArrivalTime_ = workload.invocations.empty()
         ? 0.0
         : workload.invocations.back().arrival;
-    fnState_.reset(workload.functions.size());
-    for (std::size_t f = 0; f < workload.functions.size(); ++f)
-        fnState_.setFootprint(static_cast<FunctionId>(f),
-                              workload.functions[f].memoryMb,
-                              workload.functions[f].compressedMb);
+    result_.metrics = metrics::Collector(workload.duration);
     faultPlan_ = faults::FaultPlan(
         config_.faults, cluster_.nodes().size(),
         lastArrivalTime_ + config_.drainGrace,
@@ -180,16 +182,18 @@ Driver::emitInvocationTrace(const RunningExec& exec,
 void
 Driver::snapshotInterval(Seconds end)
 {
-    FlowTotals total;
-    total.invocations = collector_.invocations();
-    total.coldStarts = collector_.coldStarts();
-    total.warmStarts = collector_.warmStarts();
-    total.snapshotStarts = collector_.snapshotStarts();
-    total.evictions = endEvictedForExec_ + endEvictedForKeep_ +
-        endEvictedByPolicy_ + endEvictedByFault_;
+    const metrics::Collector& metrics = result_.metrics;
+    IntervalSample total;
+    total.invocations = metrics.invocations();
+    total.coldStarts = metrics.coldStarts();
+    total.warmStarts = metrics.warmStarts();
+    total.snapshotStarts = metrics.snapshotStarts();
+    total.evictions = result_.endEvictedForExec +
+        result_.endEvictedForKeep + result_.endEvictedByPolicy +
+        result_.endEvictedByFault;
     total.prewarms = prewarmsIssued_;
-    total.failedAttempts = collector_.failedAttempts();
-    total.spend = cluster_.keepAliveSpend();
+    total.failedAttempts = metrics.failedAttempts();
+    total.spendDelta = cluster_.keepAliveSpend();
 
     IntervalSample sample;
     sample.endSeconds = end;
@@ -202,9 +206,9 @@ Driver::snapshotInterval(Seconds end)
     sample.prewarms = total.prewarms - intervalBase_.prewarms;
     sample.failedAttempts =
         total.failedAttempts - intervalBase_.failedAttempts;
-    sample.spendDelta = total.spend - intervalBase_.spend;
+    sample.spendDelta = total.spendDelta - intervalBase_.spendDelta;
     sample.waitQueueDepth = waitQueue_.size();
-    intervals_.push_back(sample);
+    result_.intervals.push_back(sample);
     intervalBase_ = total;
 }
 
@@ -227,10 +231,10 @@ Driver::run()
     // Close the interval series with the final (usually partial)
     // interval so end-of-run flows are never silently dropped.
     if (config_.statsIntervalSeconds > 0.0 &&
-        (intervals_.empty() ||
-         intervals_.back().endSeconds < queue_.now()))
+        (result_.intervals.empty() ||
+         result_.intervals.back().endSeconds < queue_.now()))
         snapshotInterval(queue_.now());
-    collector_.finalizeAvailability(
+    result_.metrics.finalizeAvailability(
         queue_.now(), cluster_.nodes().size(),
         cluster_.numDomains() > 1 ? cluster_.nodesPerDomain()
                                   : std::vector<std::size_t>{});
@@ -238,63 +242,46 @@ Driver::run()
     // One batched stats-registry flush per run: per-event updates stay
     // in run-local counters so the sim hot path never contends on
     // registry cache lines shared across worker threads.
-    collector_.flushStats();
+    result_.metrics.flushStats();
     auto& registry = obs::Registry::global();
     registry.counter("sim.driver.arrivals").add(arrivalsProcessed_);
     registry.counter("sim.driver.prewarms").add(prewarmsIssued_);
     registry.counter("sim.driver.ticks").add(ticksProcessed_);
-    registry.counter("sim.faults.node_crashes").add(nodeCrashes_);
+    registry.counter("sim.faults.node_crashes").add(result_.nodeCrashes);
     registry.counter("sim.faults.node_recoveries")
-        .add(nodeRecoveries_);
+        .add(result_.nodeRecoveries);
     registry.counter("sim.faults.memory_shocks").add(memoryShocks_);
-    registry.counter("sim.driver.re_prewarms").add(rePrewarmsIssued_);
-    registry.counter("sim.driver.reclaim_failed").add(reclaimFailed_);
+    registry.counter("sim.driver.re_prewarms")
+        .add(result_.rePrewarmsIssued);
+    registry.counter("sim.driver.reclaim_failed")
+        .add(result_.reclaimFailed);
     registry.counter("sim.driver.snapshots_created")
-        .add(snapshotsCreated_);
+        .add(result_.snapshotsCreated);
     registry.gauge("sim.driver.wait_queue_peak")
         .observe(static_cast<double>(waitQueuePeak_));
 
-    RunResult result;
-    result.decisionWallSeconds = decisionWallSeconds_;
-    result.keepAliveSpend = cluster_.keepAliveSpend();
-    result.unserved = waitQueue_.size();
-    result.coldNoContainer = coldNoContainer_;
-    result.coldContainerCoreBusy = coldContainerCoreBusy_;
-    result.coldContainerNoMemory = coldContainerNoMemory_;
-    result.endExpired = endExpired_;
-    result.endConsumed = endConsumed_;
-    result.endEvictedForExec = endEvictedForExec_;
-    result.endEvictedForKeep = endEvictedForKeep_;
-    result.endEvictedByPolicy = endEvictedByPolicy_;
-    result.keepDropped = keepDropped_;
-    result.nodeCrashes = nodeCrashes_;
-    result.nodeRecoveries = nodeRecoveries_;
-    result.endEvictedByFault = endEvictedByFault_;
-    result.prewarmsDropped = collector_.prewarmsDropped();
-    result.rePrewarmsIssued = rePrewarmsIssued_;
-    result.reclaimFailed = reclaimFailed_;
-    result.snapshotsCreated = snapshotsCreated_;
-    result.snapshotCreatesDropped = snapshotCreatesDropped_;
-    result.snapshotsEvictedForStorage =
+    // The driver counted into result_ as it ran; what is left are the
+    // totals other modules own.
+    result_.keepAliveSpend = cluster_.keepAliveSpend();
+    result_.unserved = waitQueue_.size();
+    result_.prewarmsDropped = result_.metrics.prewarmsDropped();
+    result_.snapshotsEvictedForStorage =
         cluster_.snapshotsEvictedForStorage();
-    result.snapshotsLostToCrash = snapshotsLostToCrash_;
-    result.snapshotStorageSpend = cluster_.snapshotSpend();
-    result.committedDollars = cluster_.committedDollarsTotal();
-    result.refundedDollars = cluster_.refundedDollarsTotal();
-    result.faultRefundedDollars = collector_.faultRefundedDollars();
-    result.commitmentConsumedDollars =
+    result_.snapshotStorageSpend = cluster_.snapshotSpend();
+    result_.committedDollars = cluster_.committedDollarsTotal();
+    result_.refundedDollars = cluster_.refundedDollarsTotal();
+    result_.faultRefundedDollars = result_.metrics.faultRefundedDollars();
+    result_.commitmentConsumedDollars =
         cluster_.commitmentConsumedDollars();
-    result.outstandingCommitmentDollars =
+    result_.outstandingCommitmentDollars =
         cluster_.outstandingCommitmentDollars();
-    result.intervals = std::move(intervals_);
-    result.traceEventsEmitted =
+    result_.traceEventsEmitted =
         trace_ ? static_cast<std::uint64_t>(trace_->events().size())
                : 0;
-    result.metrics = std::move(collector_);
     if (!waitQueue_.empty())
         warn("Driver: ", waitQueue_.size(),
              " invocations were never served");
-    return result;
+    return std::move(result_);
 }
 
 void
@@ -314,9 +301,6 @@ void
 Driver::handleArrival(const Invocation& invocation)
 {
     ++arrivalsProcessed_;
-    // The SoA table must see the arrival before the policy does, so
-    // onArrival reads up-to-date recency/frequency columns.
-    fnState_.noteArrival(invocation.function, queue_.now());
     timedDecision([&] {
         CC_PHASE("policy.onArrival");
         policy_.onArrival(invocation.function, queue_.now());
@@ -419,11 +403,11 @@ Driver::tryStart(const Invocation& invocation, int attempt)
     const NodeType other = preferred == NodeType::X86 ? NodeType::ARM
                                                       : NodeType::X86;
     if (!hadContainer)
-        ++coldNoContainer_;
+        ++result_.coldNoContainer;
     else if (allBlockedByCore)
-        ++coldContainerCoreBusy_;
+        ++result_.coldContainerCoreBusy;
     else
-        ++coldContainerNoMemory_;
+        ++result_.coldContainerNoMemory;
     for (NodeType type : {preferred, other}) {
         if (const auto nodeId = cluster_.pickNodeForExec(
                 type, profile.memoryMb, queue_.now())) {
@@ -452,7 +436,7 @@ Driver::tryStart(const Invocation& invocation, int attempt)
                     attempt);
                 return true;
             }
-            ++reclaimFailed_;
+            ++result_.reclaimFailed;
         }
     }
     return false;
@@ -528,7 +512,7 @@ Driver::reclaimFor(NodeId nodeId, MegaBytes neededMb)
         }
         if (victim == cluster::kInvalidContainer)
             return false; // nothing left to reclaim
-        ++endEvictedForExec_;
+        ++result_.endEvictedForExec;
         evictContainer(victim);
     }
     return true;
@@ -632,7 +616,7 @@ Driver::handleFinish(const Invocation& invocation, NodeId nodeId,
     const auto& profile = workload_.profile(invocation.function);
     --running_;
     cluster_.releaseExec(nodeId, profile.memoryMb);
-    collector_.record(record);
+    result_.metrics.record(record);
 
     const KeepAliveDecision decision =
         timedDecision([&] { return policy_.onFinish(record); });
@@ -675,15 +659,15 @@ Driver::applyDecision(FunctionId function, NodeId nodeId,
                 return policy_.pickVictim(nodeId, missing);
             });
             if (!victim) {
-                ++keepDropped_;
+                ++result_.keepDropped;
                 return; // policy declined; drop the container
             }
             const auto& v = cluster_.warm(*victim);
             if (v.node != nodeId) {
-                ++keepDropped_;
+                ++result_.keepDropped;
                 return; // invalid victim; drop
             }
-            ++endEvictedForKeep_;
+            ++result_.endEvictedForKeep;
             evictContainer(*victim);
         }
     }
@@ -705,16 +689,11 @@ Driver::addWarmContainer(FunctionId function, NodeId nodeId,
     WarmEvents events;
     events.expiry = queue_.scheduleAfter(
         keepAliveSeconds, [this, id] {
-            ++endExpired_;
+            ++result_.endExpired;
             evictContainer(id);
             drainWaitQueue();
         });
     warmEvents_.emplace(id, std::move(events));
-    fnState_.noteWarm(function, +1);
-    fnState_.setKeepAliveDeadline(
-        function,
-        std::max(fnState_.keepAliveDeadline(function),
-                 queue_.now() + keepAliveSeconds));
     if (compress)
         scheduleCompression(id);
 }
@@ -748,8 +727,7 @@ Driver::scheduleCompression(ContainerId id)
                 trace_->emit(event);
             }
             cluster_.resizeWarm(id, newMb, true, queue_.now());
-            fnState_.noteCompressed(c.function, +1);
-            collector_.recordCompression(queue_.now());
+            result_.metrics.recordCompression(queue_.now());
             drainWaitQueue();
         });
 }
@@ -765,11 +743,8 @@ Driver::evictContainer(ContainerId id, bool byFault)
     warmEvents_.erase(it);
     const cluster::WarmContainer removed =
         cluster_.removeWarm(id, queue_.now());
-    fnState_.noteWarm(removed.function, -1);
-    if (removed.compressed)
-        fnState_.noteCompressed(removed.function, -1);
     const Dollars refund = removed.unspentCommitmentDollars();
-    collector_.recordRefund(queue_.now(), refund, byFault);
+    result_.metrics.recordRefund(queue_.now(), refund, byFault);
     return refund;
 }
 
@@ -782,15 +757,12 @@ Driver::consumeWarm(ContainerId id)
     it->second.expiry.cancel();
     it->second.compressFinish.cancel();
     warmEvents_.erase(it);
-    ++endConsumed_;
+    ++result_.endConsumed;
     cluster::WarmContainer removed =
         cluster_.removeWarm(id, queue_.now());
-    fnState_.noteWarm(removed.function, -1);
-    if (removed.compressed)
-        fnState_.noteCompressed(removed.function, -1);
-    collector_.recordRefund(queue_.now(),
-                            removed.unspentCommitmentDollars(),
-                            false);
+    result_.metrics.recordRefund(queue_.now(),
+                                 removed.unspentCommitmentDollars(),
+                                 false);
     return removed;
 }
 
@@ -810,7 +782,7 @@ Driver::requestPrewarm(FunctionId function, NodeType type,
     ++running_;
     ++prewarmsIssued_;
     if (inRecoveryHook_)
-        ++rePrewarmsIssued_;
+        ++result_.rePrewarmsIssued;
     const std::uint64_t id = nextExecId_++;
     PrewarmExec prewarm;
     prewarm.function = function;
@@ -852,7 +824,7 @@ Driver::requestPrewarm(FunctionId function, NodeType type,
                 // the finished container has nowhere to live. Count
                 // it — silently vanishing prewarms made the prewarm
                 // budget look better than it was.
-                collector_.recordPrewarmDropped();
+                result_.metrics.recordPrewarmDropped();
             }
             drainWaitQueue();
         });
@@ -900,7 +872,7 @@ Driver::crashNode(NodeId nodeId)
     lostFunctions.reserve(warmIds.size());
     for (const ContainerId id : warmIds) {
         lostFunctions.push_back(cluster_.warm(id).function);
-        ++endEvictedByFault_;
+        ++result_.endEvictedByFault;
         evictContainer(id, /*byFault=*/true);
     }
 
@@ -972,16 +944,16 @@ Driver::crashNode(NodeId nodeId)
     std::sort(snapIds.begin(), snapIds.end());
     for (const cluster::SnapshotId id : snapIds) {
         cluster_.removeSnapshot(id, now);
-        ++snapshotsLostToCrash_;
+        ++result_.snapshotsLostToCrash;
     }
 
     // Fully drained; the capacity invariants must hold through this.
     cluster_.markDown(nodeId);
     cluster_.noteDomainFault(cluster_.domainOf(nodeId), now);
-    collector_.noteNodeDown(
+    result_.metrics.noteNodeDown(
         now,
         cluster_.numDomains() > 1 ? cluster_.domainOf(nodeId) : -1);
-    ++nodeCrashes_;
+    ++result_.nodeCrashes;
     if (trace_) {
         obs::TraceEvent event;
         event.kind = obs::TraceEvent::Kind::NodeCrash;
@@ -1012,10 +984,10 @@ void
 Driver::recoverNode(NodeId nodeId)
 {
     cluster_.recover(nodeId);
-    collector_.noteNodeUp(
+    result_.metrics.noteNodeUp(
         queue_.now(),
         cluster_.numDomains() > 1 ? cluster_.domainOf(nodeId) : -1);
-    ++nodeRecoveries_;
+    ++result_.nodeRecoveries;
     if (trace_) {
         obs::TraceEvent event;
         event.kind = obs::TraceEvent::Kind::NodeRecover;
@@ -1058,7 +1030,7 @@ Driver::memoryShock(NodeId nodeId)
     for (const ContainerId id : ids) {
         if (cluster_.node(nodeId).warmMemoryMb <= keepMb + 1e-6)
             break;
-        ++endEvictedByFault_;
+        ++result_.endEvictedByFault;
         ++evicted;
         evictContainer(id, /*byFault=*/true);
     }
@@ -1078,9 +1050,9 @@ Driver::memoryShock(NodeId nodeId)
 void
 Driver::failAttempt(const Invocation& invocation, int attempt)
 {
-    collector_.recordFailedAttempt(queue_.now());
+    result_.metrics.recordFailedAttempt(queue_.now());
     if (attempt > config_.maxRetries) {
-        collector_.recordPermanentFailure();
+        result_.metrics.recordPermanentFailure();
         // Give the abandoned invocation a visible wait slice: the
         // trace should show where time went even for work that never
         // completed.
@@ -1089,7 +1061,7 @@ Driver::failAttempt(const Invocation& invocation, int attempt)
                           queue_.now());
         return;
     }
-    collector_.recordRetry();
+    result_.metrics.recordRetry();
     ++pendingRetries_;
     const Seconds delay = retryBackoff(
         attempt, config_.retryBackoffBase, config_.retryBackoffCap);
@@ -1107,15 +1079,9 @@ void
 Driver::requestEvict(FunctionId function)
 {
     while (const auto id = cluster_.findWarm(function)) {
-        ++endEvictedByPolicy_;
+        ++result_.endEvictedByPolicy;
         evictContainer(*id);
     }
-}
-
-void
-Driver::requestEvictContainer(ContainerId id)
-{
-    evictContainer(id);
 }
 
 void
@@ -1145,7 +1111,7 @@ Driver::requestSetKeepAlive(FunctionId function,
         auto& events = warmEvents_.at(id);
         events.expiry.cancel();
         if (keepAliveSeconds <= 0.0) {
-            ++endEvictedByPolicy_;
+            ++result_.endEvictedByPolicy;
             evictContainer(id);
         } else {
             events.expiry = queue_.scheduleAfter(
@@ -1158,9 +1124,6 @@ Driver::requestSetKeepAlive(FunctionId function,
                 id, queue_.now() + keepAliveSeconds, queue_.now());
         }
     }
-    if (!ids.empty() && keepAliveSeconds > 0.0)
-        fnState_.setKeepAliveDeadline(function,
-                                      queue_.now() + keepAliveSeconds);
 }
 
 bool
@@ -1205,15 +1168,15 @@ Driver::requestSnapshot(FunctionId function, NodeType type)
         [this, function, nodeId] {
             pendingSnapshotCreates_.erase(function);
             if (cluster_.node(nodeId).down) {
-                ++snapshotCreatesDropped_; // crashed mid-write
+                ++result_.snapshotCreatesDropped; // crashed mid-write
                 return;
             }
             const auto& p = workload_.profile(function);
             if (cluster_.addSnapshot(nodeId, function, p.snapshotMb,
                                      queue_.now()))
-                ++snapshotsCreated_;
+                ++result_.snapshotsCreated;
             else
-                ++snapshotCreatesDropped_; // image exceeds the budget
+                ++result_.snapshotCreatesDropped; // image exceeds the budget
         });
     return true;
 }
@@ -1244,8 +1207,8 @@ Driver::handleTick()
         event.ts = now;
         trace_->emit(event);
     }
-    collector_.snapshotMinute(now, cluster_.totalWarmMemoryMb(),
-                              cluster_.keepAliveSpend());
+    result_.metrics.snapshotMinute(now, cluster_.totalWarmMemoryMb(),
+                                   cluster_.keepAliveSpend());
     // Interval flows: snapshot on the first tick at or past each
     // boundary, so the effective interval rounds up to a multiple of
     // tickInterval. Pure observation of sim-deterministic state.
@@ -1260,7 +1223,7 @@ Driver::handleTick()
     if (warmRecoveryPending_ &&
         cluster_.totalWarmMemoryMb() >=
             0.95 * warmRecoveryTargetMb_) {
-        collector_.recordWarmRecovery(now - warmRecoveryStart_);
+        result_.metrics.recordWarmRecovery(now - warmRecoveryStart_);
         warmRecoveryPending_ = false;
     }
     if (config_.tickObserver)

@@ -29,7 +29,6 @@
 #include "policy/policy.hpp"
 #include "sim/arena.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/function_table.hpp"
 #include "trace/workload.hpp"
 
 namespace codecrunch::experiments {
@@ -293,15 +292,9 @@ class Driver : public policy::PolicyContext
 
     obs::TraceBuffer* traceSink() const override { return trace_; }
 
-    const sim::FunctionStateTable* functionState() const override
-    {
-        return &fnState_;
-    }
-
     bool requestPrewarm(FunctionId function, NodeType type,
                         Seconds keepAliveSeconds) override;
     void requestEvict(FunctionId function) override;
-    void requestEvictContainer(cluster::ContainerId id) override;
     void requestCompress(FunctionId function) override;
     void requestSetKeepAlive(FunctionId function,
                              Seconds keepAliveSeconds) override;
@@ -497,11 +490,11 @@ class Driver : public policy::PolicyContext
         const auto start = std::chrono::steady_clock::now();
         if constexpr (std::is_void_v<decltype(fn())>) {
             fn();
-            decisionWallSeconds_ += std::chrono::duration<double>(
+            result_.decisionWallSeconds += std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start).count();
         } else {
             auto result = fn();
-            decisionWallSeconds_ += std::chrono::duration<double>(
+            result_.decisionWallSeconds += std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - start).count();
             return result;
         }
@@ -513,7 +506,12 @@ class Driver : public policy::PolicyContext
     DriverConfig config_;
 
     sim::EventQueue queue_;
-    metrics::Collector collector_;
+    /**
+     * The result run() returns. The driver counts, records metrics and
+     * appends interval samples straight into it; run() fills the
+     * fields other modules own (cluster ledger, wait queue) at the end.
+     */
+    RunResult result_;
     Rng rng_;
     faults::FaultPlan faultPlan_;
 
@@ -528,15 +526,9 @@ class Driver : public policy::PolicyContext
     sim::SlotPool<RunningExec> runningExecs_;
     sim::SlotPool<PrewarmExec> prewarms_;
     std::uint64_t nextExecId_ = 1;
-    /** Hot per-function SoA state (PolicyContext::functionState). */
-    sim::FunctionStateTable fnState_;
     /** Monotone attempt counter feeding FaultPlan::invocationFails. */
     std::uint64_t attemptSeq_ = 0;
     std::size_t pendingRetries_ = 0;
-    std::size_t nodeCrashes_ = 0;
-    std::size_t nodeRecoveries_ = 0;
-    std::size_t endEvictedByFault_ = 0;
-    std::size_t rePrewarmsIssued_ = 0;
     /** True while policy::onNodeRecover runs: prewarms issued from
      *  there count as fault-reactive re-prewarms. */
     bool inRecoveryHook_ = false;
@@ -547,22 +539,8 @@ class Driver : public policy::PolicyContext
     std::size_t nextArrival_ = 0;
     std::size_t arrivalsProcessed_ = 0;
     std::size_t running_ = 0;
-    std::size_t coldNoContainer_ = 0;
-    std::size_t coldContainerCoreBusy_ = 0;
-    std::size_t coldContainerNoMemory_ = 0;
-    std::size_t endExpired_ = 0;
-    std::size_t endConsumed_ = 0;
-    std::size_t endEvictedForExec_ = 0;
-    std::size_t endEvictedForKeep_ = 0;
-    std::size_t endEvictedByPolicy_ = 0;
-    std::size_t keepDropped_ = 0;
-    std::size_t reclaimFailed_ = 0;
-    std::size_t snapshotsCreated_ = 0;
-    std::size_t snapshotCreatesDropped_ = 0;
-    std::size_t snapshotsLostToCrash_ = 0;
     /** Functions with an in-flight background snapshot creation. */
     std::unordered_set<FunctionId> pendingSnapshotCreates_;
-    double decisionWallSeconds_ = 0.0;
     Seconds lastArrivalTime_ = 0.0;
 
     /** Observability (see the helper block above). */
@@ -578,21 +556,11 @@ class Driver : public policy::PolicyContext
     std::size_t waitQueuePeak_ = 0;
 
     /**
-     * Interval flows (DriverConfig::statsIntervalSeconds): cumulative
-     * totals at the last snapshot, so each sample is a pure delta.
+     * Interval flows (DriverConfig::statsIntervalSeconds): the
+     * cumulative flows at the last snapshot (spendDelta holds the
+     * cumulative spend), so each sample is a pure delta.
      */
-    struct FlowTotals {
-        std::uint64_t invocations = 0;
-        std::uint64_t coldStarts = 0;
-        std::uint64_t warmStarts = 0;
-        std::uint64_t snapshotStarts = 0;
-        std::uint64_t evictions = 0;
-        std::uint64_t prewarms = 0;
-        std::uint64_t failedAttempts = 0;
-        Dollars spend = 0.0;
-    };
-    FlowTotals intervalBase_;
-    std::vector<IntervalSample> intervals_;
+    IntervalSample intervalBase_;
     Seconds nextIntervalEnd_ = 0.0;
 };
 

@@ -9,10 +9,6 @@ namespace codecrunch::policy {
 void
 FaasCache::onArrival(FunctionId function, Seconds)
 {
-    // The driver's SoA table already counts arrivals; only track them
-    // ourselves when the context has no table.
-    if (context_ && context_->functionState())
-        return;
     if (function >= frequency_.size())
         frequency_.resize(function + 1, 0);
     ++frequency_[function];
@@ -31,16 +27,10 @@ double
 FaasCache::priority(FunctionId function) const
 {
     const auto& profile = context_->workload().profile(function);
-    // Never-seen functions score as frequency 1 (same rule the old
-    // hash-map lookup used for missing entries).
+    // Never-seen functions score as frequency 1.
     double freq = 1.0;
-    if (const auto* table = context_->functionState()) {
-        if (const auto count = table->arrivalCount(function))
-            freq = static_cast<double>(count);
-    } else if (function < frequency_.size() &&
-               frequency_[function] > 0) {
+    if (function < frequency_.size() && frequency_[function] > 0)
         freq = static_cast<double>(frequency_[function]);
-    }
     // Cost of a miss is the cold start; size is the warm footprint.
     const double cost =
         profile.coldStart[static_cast<int>(NodeType::X86)];

@@ -47,12 +47,7 @@ class FaasCache : public Policy
     double priority(FunctionId function) const;
 
     Config config_;
-    /**
-     * Fallback arrival counts for contexts without a
-     * FunctionStateTable (dense, indexed by FunctionId). When the
-     * context exposes the SoA table the driver already counts
-     * arrivals there and this stays empty.
-     */
+    /** Arrival counts (dense, indexed by FunctionId). */
     std::vector<std::uint64_t> frequency_;
     double clock_ = 0.0;
 };

@@ -24,7 +24,6 @@
 #include "cluster/cluster.hpp"
 #include "common/types.hpp"
 #include "metrics/collector.hpp"
-#include "sim/function_table.hpp"
 #include "trace/workload.hpp"
 
 namespace codecrunch::obs {
@@ -80,19 +79,6 @@ class PolicyContext
     virtual obs::TraceBuffer* traceSink() const { return nullptr; }
 
     /**
-     * Hot per-function state (arrival recency/frequency, keep-alive
-     * deadline, warm/compressed residency, footprint class) as
-     * struct-of-arrays indexed by dense FunctionId — the cache-linear
-     * view policies should prefer for whole-catalog scans. Null when
-     * the context does not track it (e.g. minimal test contexts);
-     * callers must handle that.
-     */
-    virtual const sim::FunctionStateTable* functionState() const
-    {
-        return nullptr;
-    }
-
-    /**
      * Create a warm container for `function` on `type` without an
      * invocation (pre-warming): a cold start runs off the critical
      * path, then the container idles for `keepAliveSeconds`.
@@ -103,9 +89,6 @@ class PolicyContext
 
     /** Evict every warm container of `function`. */
     virtual void requestEvict(FunctionId function) = 0;
-
-    /** Evict one specific warm container. */
-    virtual void requestEvictContainer(cluster::ContainerId id) = 0;
 
     /**
      * Start background compression of `function`'s uncompressed warm

@@ -667,6 +667,11 @@ TEST(EndToEnd, LateJoinerCatchesUpOnCompletedPlansThenRunsLive)
     std::promise<void> planZeroDone;
     std::shared_future<void> planZeroDoneFuture(
         planZeroDone.get_future());
+    // Worker A holds plan "second" open until B has joined. Otherwise
+    // A can finish it alone first, and B then dials a master that no
+    // longer serves the wire and waits for its handshake forever.
+    std::promise<void> workerBJoined;
+    std::future<void> workerBJoinedFuture = workerBJoined.get_future();
 
     std::vector<ExecBackend::JobOutcome> master0, master1;
     std::thread masterThread([&] {
@@ -684,6 +689,7 @@ TEST(EndToEnd, LateJoinerCatchesUpOnCompletedPlansThenRunsLive)
         workerOptions.port = port;
         WorkerBackend worker(workerOptions);
         a0 = worker.executePlan("first", trivialJobs(3), nullptr);
+        workerBJoinedFuture.wait();
         a1 = worker.executePlan("second", trivialJobs(2), nullptr);
     });
 
@@ -694,6 +700,7 @@ TEST(EndToEnd, LateJoinerCatchesUpOnCompletedPlansThenRunsLive)
         workerOptions.host = "127.0.0.1";
         workerOptions.port = port;
         WorkerBackend worker(workerOptions);
+        workerBJoined.set_value();
         // Plan "first" finished before this worker existed: served
         // locally from the catch-up buffer, fingerprint-checked.
         b0 = worker.executePlan("first", trivialJobs(3), nullptr);

@@ -409,6 +409,17 @@ TEST(Driver, EmptyWorkloadCompletes)
     EXPECT_DOUBLE_EQ(result.keepAliveSpend, 0.0);
 }
 
+TEST(Driver, RejectsInvocationOutsideCatalog)
+{
+    // One profile (id 0); the second arrival names function 1.
+    auto workload = workloadWith({0.0, 10.0});
+    workload.invocations.back().function = 1;
+    policy::FixedKeepAlive policy;
+    EXPECT_DEATH(
+        { Driver driver(workload, oneNodeConfig(), policy, noNoise()); },
+        "function 1 outside the catalog of 1");
+}
+
 TEST(Driver, DecisionTimeIsMeasured)
 {
     trace::TraceConfig config;

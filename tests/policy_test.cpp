@@ -63,8 +63,6 @@ class FakeContext : public PolicyContext
         evictions.push_back(function);
     }
 
-    void requestEvictContainer(cluster::ContainerId) override {}
-
     void
     requestCompress(FunctionId function) override
     {
@@ -308,23 +306,29 @@ TEST(FaasCache, EvictsLowestGreedyDualPriority)
     FakeContext context(4);
     FaasCache policy;
     policy.bind(context);
-    // Function 1 is hot (high frequency), function 2 cold.
+    // Function 2 is hot (50 arrivals), function 1 was seen once.
     for (int i = 0; i < 50; ++i)
-        policy.onArrival(1, i);
-    policy.onArrival(2, 0.0);
+        policy.onArrival(2, i);
+    policy.onArrival(1, 0.0);
     auto& cluster = context.cluster_;
-    const auto hotContainer = cluster.addWarm(
+    const auto rareContainer = cluster.addWarm(
         0, 1, context.workload_.profile(1).memoryMb, false, 0.0);
-    const auto coldContainer = cluster.addWarm(
-        0, 2, context.workload_.profile(2).memoryMb, false, 0.0);
+    cluster.addWarm(0, 2, context.workload_.profile(2).memoryMb, false,
+                    0.0);
+    // priority = freq * coldStart / memoryMb. Per MB, function 2 is the
+    // cheaper miss; only its arrival count keeps it cached.
+    const auto costPerMb = [&](FunctionId f) {
+        const auto& profile = context.workload_.profile(f);
+        return profile.coldStart[static_cast<int>(NodeType::X86)] /
+               profile.memoryMb;
+    };
+    ASSERT_LT(costPerMb(2), costPerMb(1));
+    ASSERT_GT(50.0 * costPerMb(2), costPerMb(1));
     const auto victim = policy.pickVictim(0, 100.0);
     ASSERT_TRUE(victim.has_value());
-    // The victim should be whichever has the lower freq*cost/size
-    // priority; verify it is deterministic and re-queryable.
-    const auto again = policy.pickVictim(0, 100.0);
-    EXPECT_EQ(*victim, *again);
-    (void)hotContainer;
-    (void)coldContainer;
+    EXPECT_EQ(*victim, rareContainer);
+    // Aging raises every priority by the same clock: same victim.
+    EXPECT_EQ(policy.pickVictim(0, 100.0), rareContainer);
 }
 
 TEST(FaasCache, DeclinesWhenNodeHasNoWarmContainers)

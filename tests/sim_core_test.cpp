@@ -16,21 +16,17 @@
  *    poison-on-reset (0xDD), chunk reuse.
  *  - SlotPool: dense indices, LIFO slot recycling (determinism),
  *    stable addresses, ascending forEach, destructor discipline.
- *  - FunctionStateTable: struct-of-arrays columns replayed against a
- *    plain array-of-structs oracle over a random mutation stream.
  */
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "sim/arena.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/function_table.hpp"
 
 #include "legacy_heap_queue.hpp"
 
@@ -397,114 +393,4 @@ TEST(SlotPool, EraseOfEmptySlotPanics)
     SlotPool<int> pool;
     pool.emplace(1);
     EXPECT_DEATH(pool.erase(7), "erase of empty slot");
-}
-
-// --- FunctionStateTable vs array-of-structs oracle --------------------------
-
-namespace {
-
-/** The plain-struct shape the SoA table replaces. */
-struct OracleState {
-    Seconds lastArrival =
-        -std::numeric_limits<double>::infinity();
-    std::uint64_t arrivalCount = 0;
-    Seconds keepAliveDeadline = 0.0;
-    std::uint32_t warmCount = 0;
-    std::uint32_t compressedCount = 0;
-    float memoryMb = 0.0f;
-    float compressedMb = 0.0f;
-};
-
-} // namespace
-
-TEST(FunctionStateTable, MatchesAosOracleUnderRandomMutation)
-{
-    constexpr std::size_t kFunctions = 64;
-    FunctionStateTable table(kFunctions);
-    std::vector<OracleState> oracle(kFunctions);
-    Rng rng(31337);
-    Seconds now = 0.0;
-    for (int i = 0; i < 20'000; ++i) {
-        const auto fn = static_cast<FunctionId>(
-            rng.uniformInt(0, kFunctions - 1));
-        now += rng.uniform();
-        switch (rng.uniformInt(0, 4)) {
-        case 0:
-            table.noteArrival(fn, now);
-            oracle[fn].lastArrival = now;
-            ++oracle[fn].arrivalCount;
-            break;
-        case 1:
-            table.setKeepAliveDeadline(fn, now + 600.0);
-            oracle[fn].keepAliveDeadline = now + 600.0;
-            break;
-        case 2:
-            if (oracle[fn].warmCount > 0 && rng.bernoulli(0.5)) {
-                table.noteWarm(fn, -1);
-                --oracle[fn].warmCount;
-            } else {
-                table.noteWarm(fn, +1);
-                ++oracle[fn].warmCount;
-            }
-            break;
-        case 3:
-            if (oracle[fn].compressedCount > 0 &&
-                rng.bernoulli(0.5)) {
-                table.noteCompressed(fn, -1);
-                --oracle[fn].compressedCount;
-            } else {
-                table.noteCompressed(fn, +1);
-                ++oracle[fn].compressedCount;
-            }
-            break;
-        case 4: {
-            const double mem = rng.uniform(64.0, 2048.0);
-            table.setFootprint(fn, mem, mem / 3.0);
-            oracle[fn].memoryMb = static_cast<float>(mem);
-            oracle[fn].compressedMb =
-                static_cast<float>(mem / 3.0);
-            break;
-        }
-        }
-    }
-    for (FunctionId fn = 0; fn < kFunctions; ++fn) {
-        EXPECT_EQ(table.lastArrival(fn), oracle[fn].lastArrival);
-        EXPECT_EQ(table.arrivalCount(fn), oracle[fn].arrivalCount);
-        EXPECT_EQ(table.keepAliveDeadline(fn),
-                  oracle[fn].keepAliveDeadline);
-        EXPECT_EQ(table.warmCount(fn), oracle[fn].warmCount);
-        EXPECT_EQ(table.compressedCount(fn),
-                  oracle[fn].compressedCount);
-        EXPECT_EQ(table.memoryMb(fn), oracle[fn].memoryMb);
-        EXPECT_EQ(table.compressedMb(fn), oracle[fn].compressedMb);
-    }
-    // Raw columns expose the same data for cache-linear scans.
-    for (FunctionId fn = 0; fn < kFunctions; ++fn) {
-        EXPECT_EQ(table.lastArrivals()[fn], oracle[fn].lastArrival);
-        EXPECT_EQ(table.warmCounts()[fn], oracle[fn].warmCount);
-    }
-}
-
-TEST(FunctionStateTable, ResetZeroesEveryColumn)
-{
-    FunctionStateTable table(4);
-    table.noteArrival(2, 10.0);
-    table.noteWarm(2, +1);
-    table.reset(4);
-    EXPECT_EQ(table.lastArrival(2), FunctionStateTable::kNever);
-    EXPECT_EQ(table.arrivalCount(2), 0u);
-    EXPECT_EQ(table.warmCount(2), 0u);
-}
-
-TEST(FunctionStateTable, OutOfRangeIdPanics)
-{
-    FunctionStateTable table(8);
-    EXPECT_DEATH(table.noteArrival(8, 1.0),
-                 "outside dense id space");
-}
-
-TEST(FunctionStateTable, ResidencyUnderflowPanics)
-{
-    FunctionStateTable table(8);
-    EXPECT_DEATH(table.noteWarm(3, -1), "residency underflow");
 }
