@@ -127,8 +127,9 @@ main(int argc, char** argv)
               "to SitW's and grows slowly with the function count "
               "(it only optimizes the functions invoked in the "
               "current interval); IceBreaker's FFT sweep over every "
-              "active function is 1-2 orders of magnitude more "
-              "expensive (paper: 4.52% vs 30% of service time)");
+              "active function costs several times more per "
+              "invocation (paper: 4.52% vs 30% of service time, "
+              "about 6.6x)");
 
     runner::ReportMeta meta;
     meta.bench = "tab_overhead";

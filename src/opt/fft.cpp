@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/logging.hpp"
 #include "obs/profiler.hpp"
@@ -16,83 +17,108 @@ isPow2(std::size_t n)
     return n != 0 && (n & (n - 1)) == 0;
 }
 
-void
-transform(std::vector<Complex>& data, bool invert)
+std::vector<Complex>
+stageTwiddles(std::size_t n, bool invert)
 {
-    CC_PHASE("fft.transform");
-    const std::size_t n = data.size();
+    std::vector<Complex> twiddles;
+    twiddles.reserve(n - 1);
+    for (std::size_t len = 2; len <= n; len <<= 1) {
+        const double angle =
+            2.0 * M_PI / static_cast<double>(len) * (invert ? 1 : -1);
+        const Complex wlen(std::cos(angle), std::sin(angle));
+        Complex w(1.0, 0.0);
+        for (std::size_t j = 0; j < len / 2; ++j) {
+            twiddles.push_back(w);
+            w *= wlen;
+        }
+    }
+    return twiddles;
+}
+
+} // namespace
+
+Fft::Fft(std::size_t n) : data_(n)
+{
     if (!isPow2(n))
         panic("Fft: size ", n, " is not a power of two");
-
-    // Bit-reversal permutation.
     for (std::size_t i = 1, j = 0; i < n; ++i) {
         std::size_t bit = n >> 1;
         for (; j & bit; bit >>= 1)
             j ^= bit;
         j ^= bit;
         if (i < j)
-            std::swap(data[i], data[j]);
+            swaps_.emplace_back(i, j);
     }
+    forwardTwiddles_ = stageTwiddles(n, false);
+    inverseTwiddles_ = stageTwiddles(n, true);
+    magnitude_.resize(n / 2);
+    order_.resize(n / 2 > 1 ? n / 2 - 1 : 0);
+}
 
-    for (std::size_t len = 2; len <= n; len <<= 1) {
-        const double angle =
-            2.0 * M_PI / static_cast<double>(len) * (invert ? 1 : -1);
-        const Complex wlen(std::cos(angle), std::sin(angle));
-        for (std::size_t i = 0; i < n; i += len) {
-            Complex w(1.0, 0.0);
-            for (std::size_t j = 0; j < len / 2; ++j) {
-                const Complex u = data[i + j];
-                const Complex v = data[i + j + len / 2] * w;
-                data[i + j] = u + v;
-                data[i + j + len / 2] = u - v;
-                w *= wlen;
+void
+Fft::transform(bool invert)
+{
+    CC_PHASE("fft.transform");
+    const std::size_t n = data_.size();
+    Complex* a = data_.data();
+    for (const auto& [i, j] : swaps_)
+        std::swap(a[i], a[j]);
+
+    const Complex* twiddles =
+        invert ? inverseTwiddles_.data() : forwardTwiddles_.data();
+    for (std::size_t half = 1; half < n; half <<= 1) {
+        const Complex* w = twiddles + (half - 1);
+        for (std::size_t i = 0; i < n; i += 2 * half) {
+            for (std::size_t j = 0; j < half; ++j) {
+                // x * w written out: the (ac - bd, ad + bc) that
+                // std::complex computes, without its NaN-recovery
+                // branch, which only changes non-finite products.
+                const Complex u = a[i + j];
+                const Complex x = a[i + j + half];
+                const Complex v(
+                    x.real() * w[j].real() - x.imag() * w[j].imag(),
+                    x.real() * w[j].imag() + x.imag() * w[j].real());
+                a[i + j] = u + v;
+                a[i + j + half] = u - v;
             }
         }
     }
     if (invert) {
-        for (auto& x : data)
+        for (auto& x : data_)
             x /= static_cast<double>(n);
     }
 }
 
-} // namespace
-
-void
-Fft::forward(std::vector<Complex>& data)
+std::size_t
+Fft::dominantBin()
 {
-    transform(data, false);
-}
-
-void
-Fft::inverse(std::vector<Complex>& data)
-{
-    transform(data, true);
-}
-
-std::vector<Complex>
-Fft::forwardReal(const std::vector<double>& series)
-{
-    std::vector<Complex> data(nextPow2(series.size()), Complex(0, 0));
-    for (std::size_t i = 0; i < series.size(); ++i)
-        data[i] = Complex(series[i], 0.0);
-    forward(data);
-    return data;
-}
-
-std::vector<std::size_t>
-Fft::dominantBins(const std::vector<Complex>& spectrum, std::size_t k)
-{
-    const std::size_t half = spectrum.size() / 2;
-    std::vector<std::size_t> bins;
-    for (std::size_t i = 1; i < half; ++i)
-        bins.push_back(i);
-    std::sort(bins.begin(), bins.end(),
+    const std::size_t half = data_.size() / 2;
+    if (half < 2)
+        return 0;
+    // One hypot per bin. A strict maximum is what a sort by
+    // descending magnitude puts first, so only a tie needs the sort.
+    std::size_t best = 1;
+    bool tied = false;
+    magnitude_[1] = std::abs(data_[1]);
+    for (std::size_t i = 2; i < half; ++i) {
+        magnitude_[i] = std::abs(data_[i]);
+        if (magnitude_[i] > magnitude_[best]) {
+            best = i;
+            tied = false;
+        } else if (magnitude_[i] == magnitude_[best]) {
+            tied = true;
+        }
+    }
+    if (!tied)
+        return best;
+    // Sorting the cached magnitudes makes the same comparisons as a
+    // sort with a std::abs comparator, so it picks the same bin.
+    std::iota(order_.begin(), order_.end(), std::size_t{1});
+    std::sort(order_.begin(), order_.end(),
               [&](std::size_t a, std::size_t b) {
-                  return std::abs(spectrum[a]) > std::abs(spectrum[b]);
+                  return magnitude_[a] > magnitude_[b];
               });
-    if (bins.size() > k)
-        bins.resize(k);
-    return bins;
+    return order_[0];
 }
 
 std::size_t

@@ -10,6 +10,8 @@
 
 #include <complex>
 #include <cstddef>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace codecrunch::opt {
@@ -17,33 +19,57 @@ namespace codecrunch::opt {
 using Complex = std::complex<double>;
 
 /**
- * FFT utilities (power-of-two sizes).
+ * A reusable FFT plan for one power-of-two length: the bit-reversal
+ * swaps and per-stage twiddles are computed once, and every transform
+ * runs in place on the plan's own buffer, so a caller that transforms
+ * many series allocates nothing per series.
+ *
+ * A plan is not thread-safe; give each thread (or policy) its own.
  */
 class Fft
 {
   public:
-    /** In-place forward FFT; size must be a power of two. */
-    static void forward(std::vector<Complex>& data);
+    /** Plan for length `n`; panics unless `n` is a power of two. */
+    explicit Fft(std::size_t n);
 
-    /** In-place inverse FFT; size must be a power of two. */
-    static void inverse(std::vector<Complex>& data);
+    /** The buffer forward() and inverse() transform in place. */
+    std::span<Complex> data() { return data_; }
+
+    /** In-place forward FFT of data(). */
+    void forward() { transform(false); }
+
+    /** In-place inverse FFT of data(), scaled by 1/n. */
+    void inverse() { transform(true); }
 
     /**
-     * Forward FFT of a real series, zero-padded to the next power of
-     * two. Returns the complex spectrum.
+     * The strongest non-DC bin in the first half of the spectrum held
+     * in data(), or 0 when there is none (fewer than 4 points). An
+     * exact tie at the top goes to the bin that std::sort, ordering
+     * the bins by descending magnitude, puts first; the goldens were
+     * generated with that pick.
      */
-    static std::vector<Complex>
-    forwardReal(const std::vector<double>& series);
-
-    /**
-     * Indices of the `k` strongest non-DC bins in the first half of the
-     * spectrum (sorted by descending magnitude).
-     */
-    static std::vector<std::size_t>
-    dominantBins(const std::vector<Complex>& spectrum, std::size_t k);
+    std::size_t dominantBin();
 
     /** Smallest power of two >= n (and >= 1). */
     static std::size_t nextPow2(std::size_t n);
+
+  private:
+    void transform(bool invert);
+
+    std::vector<Complex> data_;
+    /** Index pairs the bit-reversal permutation exchanges. */
+    std::vector<std::pair<std::size_t, std::size_t>> swaps_;
+    /**
+     * Twiddles of the stage with half-length h, at [h - 1, 2h - 1).
+     * They are the running product w *= wlen rather than cos/sin per
+     * index, because the goldens were computed with the recurrence's
+     * bits.
+     */
+    std::vector<Complex> forwardTwiddles_;
+    std::vector<Complex> inverseTwiddles_;
+    /** dominantBin() scratch: |data()[i]| and the tie-break order. */
+    std::vector<double> magnitude_;
+    std::vector<std::size_t> order_;
 };
 
 } // namespace codecrunch::opt

@@ -6,10 +6,14 @@
  */
 #pragma once
 
+#include <algorithm>
+#include <complex>
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
+#include "common/logging.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 
@@ -111,23 +115,30 @@ class FunctionHistory
 
     /**
      * Per-minute invocation counts for the `window` minutes ending at
-     * minute `nowMinute` (zero-filled where nothing was recorded).
+     * minute `nowMinute`, written as real values to the front of `out`
+     * (zero where nothing was recorded). The rest of `out` is zeroed,
+     * so a power-of-two `out` is a zero-padded FFT input.
      */
-    std::vector<double>
-    minuteSeries(std::int64_t nowMinute, std::size_t window) const
+    void
+    minuteSeries(std::int64_t nowMinute, std::size_t window,
+                 std::span<std::complex<double>> out) const
     {
-        std::vector<double> series(window, 0.0);
+        if (out.size() < window) {
+            panic("FunctionHistory: ", out.size(),
+                  "-entry series is shorter than its ", window,
+                  "-minute window");
+        }
+        std::fill(out.begin(), out.end(), std::complex<double>());
         for (const auto& [minute, count] : minuteCounts_) {
             const std::int64_t offset =
                 minute - (nowMinute - static_cast<std::int64_t>(window) +
                           1);
             if (offset >= 0 &&
                 offset < static_cast<std::int64_t>(window)) {
-                series[static_cast<std::size_t>(offset)] =
-                    static_cast<double>(count);
+                out[static_cast<std::size_t>(offset)] =
+                    std::complex<double>(static_cast<double>(count), 0.0);
             }
         }
-        return series;
     }
 
     /** Invocations within the trailing `window` minutes. */

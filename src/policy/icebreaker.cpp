@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "obs/trace.hpp"
-#include "opt/fft.hpp"
 
 namespace codecrunch::policy {
 
@@ -33,16 +32,16 @@ IceBreaker::onFinish(const metrics::InvocationRecord&)
 
 Seconds
 IceBreaker::dominantPeriod(const FunctionHistory& h, Seconds now,
-                           double& confidence) const
+                           double& confidence)
 {
     const std::int64_t nowMinute =
         static_cast<std::int64_t>(now / kSecondsPerMinute);
-    const auto series =
-        h.minuteSeries(nowMinute, config_.windowMinutes);
-    const auto spectrum = opt::Fft::forwardReal(series);
-    const auto bins = opt::Fft::dominantBins(spectrum, 3);
+    const auto spectrum = fft_.data();
+    h.minuteSeries(nowMinute, config_.windowMinutes, spectrum);
+    fft_.forward();
+    const std::size_t bin = fft_.dominantBin();
     confidence = 0.0;
-    if (bins.empty())
+    if (bin == 0)
         return -1.0;
     // Confidence: dominant peak's share of the non-DC spectral energy.
     double energy = 0.0;
@@ -50,10 +49,9 @@ IceBreaker::dominantPeriod(const FunctionHistory& h, Seconds now,
         energy += std::norm(spectrum[i]);
     if (energy <= 0.0)
         return -1.0;
-    confidence = std::norm(spectrum[bins[0]]) / energy;
+    confidence = std::norm(spectrum[bin]) / energy;
     const double periodMinutes =
-        static_cast<double>(spectrum.size()) /
-        static_cast<double>(bins[0]);
+        static_cast<double>(spectrum.size()) / static_cast<double>(bin);
     return periodMinutes * kSecondsPerMinute;
 }
 

@@ -7,9 +7,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 
 #include "common/parallel.hpp"
+#include "legacy_fft.hpp"
 #include "opt/fft.hpp"
 #include "opt/optimizers.hpp"
 #include "runner/thread_pool.hpp"
@@ -21,17 +26,21 @@ using namespace codecrunch::opt;
 
 TEST(Fft, ImpulseHasFlatSpectrum)
 {
-    std::vector<Complex> data(8, Complex(0, 0));
+    Fft fft(8);
+    const auto data = fft.data();
+    std::fill(data.begin(), data.end(), Complex(0, 0));
     data[0] = Complex(1, 0);
-    Fft::forward(data);
+    fft.forward();
     for (const auto& bin : data)
         EXPECT_NEAR(std::abs(bin), 1.0, 1e-12);
 }
 
 TEST(Fft, DcSeriesConcentratesInBinZero)
 {
-    std::vector<Complex> data(16, Complex(1, 0));
-    Fft::forward(data);
+    Fft fft(16);
+    const auto data = fft.data();
+    std::fill(data.begin(), data.end(), Complex(1, 0));
+    fft.forward();
     EXPECT_NEAR(std::abs(data[0]), 16.0, 1e-12);
     for (std::size_t i = 1; i < data.size(); ++i)
         EXPECT_NEAR(std::abs(data[i]), 0.0, 1e-9);
@@ -40,24 +49,24 @@ TEST(Fft, DcSeriesConcentratesInBinZero)
 TEST(Fft, SineConcentratesInItsBin)
 {
     const std::size_t n = 64;
-    std::vector<double> series(n);
+    Fft fft(n);
+    const auto data = fft.data();
     for (std::size_t i = 0; i < n; ++i)
-        series[i] = std::sin(2.0 * M_PI * 4.0 * i / n);
-    const auto spectrum = Fft::forwardReal(series);
-    const auto bins = Fft::dominantBins(spectrum, 1);
-    ASSERT_EQ(bins.size(), 1u);
-    EXPECT_EQ(bins[0], 4u);
+        data[i] = Complex(std::sin(2.0 * M_PI * 4.0 * i / n), 0.0);
+    fft.forward();
+    EXPECT_EQ(fft.dominantBin(), 4u);
 }
 
 TEST(Fft, ForwardInverseRoundTrip)
 {
     Rng rng(5);
-    std::vector<Complex> data(32);
+    Fft fft(32);
+    const auto data = fft.data();
     for (auto& x : data)
         x = Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
-    const auto original = data;
-    Fft::forward(data);
-    Fft::inverse(data);
+    const std::vector<Complex> original(data.begin(), data.end());
+    fft.forward();
+    fft.inverse();
     for (std::size_t i = 0; i < data.size(); ++i) {
         EXPECT_NEAR(data[i].real(), original[i].real(), 1e-9);
         EXPECT_NEAR(data[i].imag(), original[i].imag(), 1e-9);
@@ -67,24 +76,30 @@ TEST(Fft, ForwardInverseRoundTrip)
 TEST(Fft, ParsevalHolds)
 {
     Rng rng(6);
-    std::vector<Complex> data(64);
+    Fft fft(64);
+    const auto data = fft.data();
     double timeEnergy = 0.0;
     for (auto& x : data) {
         x = Complex(rng.uniform(-1, 1), 0.0);
         timeEnergy += std::norm(x);
     }
-    Fft::forward(data);
+    fft.forward();
     double freqEnergy = 0.0;
     for (const auto& x : data)
         freqEnergy += std::norm(x);
     EXPECT_NEAR(freqEnergy, timeEnergy * 64.0, 1e-6);
 }
 
-TEST(Fft, ForwardRealZeroPads)
+TEST(Fft, PlanZeroPadsToNextPow2)
 {
-    std::vector<double> series(10, 1.0);
-    const auto spectrum = Fft::forwardReal(series);
-    EXPECT_EQ(spectrum.size(), 16u);
+    // A 10-sample series runs in a 16-point plan, zero-padded.
+    Fft fft(Fft::nextPow2(10));
+    const auto data = fft.data();
+    EXPECT_EQ(data.size(), 16u);
+    std::fill(data.begin(), data.end(), Complex(0, 0));
+    std::fill(data.begin(), data.begin() + 10, Complex(1, 0));
+    fft.forward();
+    EXPECT_NEAR(data[0].real(), 10.0, 1e-12);
 }
 
 TEST(Fft, NextPow2)
@@ -98,8 +113,158 @@ TEST(Fft, NextPow2)
 
 TEST(Fft, NonPow2Panics)
 {
-    std::vector<Complex> data(12, Complex(0, 0));
-    EXPECT_DEATH(Fft::forward(data), "power of two");
+    EXPECT_DEATH({ Fft fft(12); }, "power of two");
+}
+
+TEST(Fft, NoDominantBinBelowFourPoints)
+{
+    Fft fft(2);
+    const auto data = fft.data();
+    data[0] = Complex(1, 0);
+    data[1] = Complex(3, 0);
+    fft.forward();
+    EXPECT_EQ(fft.dominantBin(), 0u);
+}
+
+// --- FFT plan vs the legacy allocating FFT ---------------------------------
+
+namespace {
+
+constexpr std::size_t kSeriesLength = 256;
+
+enum class SeriesKind {
+    SparsePoisson,
+    Bursts,
+    Periodic,
+    SingleSpike,
+    TwoEqualSpikes,
+    Flat, // all-zero or constant
+    Count
+};
+
+/** One seeded per-minute invocation-count series of `kind`. */
+std::vector<double>
+countSeries(Rng& rng, SeriesKind kind)
+{
+    const std::size_t n = kSeriesLength;
+    std::vector<double> series(n, 0.0);
+    const auto at = [&] { return static_cast<std::size_t>(rng.next() % n); };
+    switch (kind) {
+    case SeriesKind::SparsePoisson: {
+        const double perMinute = rng.uniform(0.005, 0.5);
+        for (double t = rng.exponential(perMinute);
+             t < static_cast<double>(n); t += rng.exponential(perMinute))
+            series[static_cast<std::size_t>(t)] += 1.0;
+        break;
+    }
+    case SeriesKind::Bursts: {
+        const auto bursts = rng.uniformInt(1, 4);
+        for (std::int64_t b = 0; b < bursts; ++b) {
+            const std::size_t start = at();
+            const auto length = static_cast<std::size_t>(
+                rng.uniformInt(1, 20));
+            const auto height = static_cast<double>(rng.uniformInt(1, 50));
+            for (std::size_t i = start; i < std::min(start + length, n);
+                 ++i)
+                series[i] += height;
+        }
+        break;
+    }
+    case SeriesKind::Periodic: {
+        static constexpr std::size_t kPeriods[] = {
+            2, 3, 4, 5, 7, 8, 10, 12, 15, 16, 30, 32, 60, 64, 100, 128};
+        const std::size_t period =
+            kPeriods[rng.next() % std::size(kPeriods)];
+        const auto count = static_cast<double>(rng.uniformInt(1, 5));
+        // Half the series miss some of their beats, as real ones do.
+        const double miss = rng.bernoulli(0.5) ? 0.0 : 0.1;
+        for (std::size_t i = rng.next() % period; i < n; i += period) {
+            if (!rng.bernoulli(miss))
+                series[i] = count;
+        }
+        break;
+    }
+    case SeriesKind::SingleSpike:
+        series[at()] = static_cast<double>(rng.uniformInt(1, 100));
+        break;
+    case SeriesKind::TwoEqualSpikes: {
+        const auto height = static_cast<double>(rng.uniformInt(1, 100));
+        series[at()] = height;
+        series[at()] = height;
+        break;
+    }
+    default:
+        std::fill(series.begin(), series.end(),
+                  static_cast<double>(rng.uniformInt(0, 3)));
+        break;
+    }
+    return series;
+}
+
+/** Index of the first part whose bits differ, or a.size() if none. */
+std::size_t
+firstBitMismatch(std::span<const Complex> a, std::span<const Complex> b)
+{
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        if (std::bit_cast<std::uint64_t>(a[i].real()) !=
+                std::bit_cast<std::uint64_t>(b[i].real()) ||
+            std::bit_cast<std::uint64_t>(a[i].imag()) !=
+                std::bit_cast<std::uint64_t>(b[i].imag()))
+            return i;
+    }
+    return a.size();
+}
+
+} // namespace
+
+TEST(FftDifferential, PlanMatchesLegacyBitForBit)
+{
+    constexpr std::size_t kSeries = 100000;
+    const auto kinds = static_cast<std::size_t>(SeriesKind::Count);
+    Rng rng(2024);
+    Fft fft(kSeriesLength);
+    std::size_t ties = 0;
+    std::size_t tiesPastLowest = 0;
+    for (std::size_t s = 0; s < kSeries; ++s) {
+        const auto kind = static_cast<SeriesKind>(s % kinds);
+        const auto series = countSeries(rng, kind);
+        const auto expected = legacy::forwardReal(series);
+        const auto data = fft.data();
+        for (std::size_t i = 0; i < series.size(); ++i)
+            data[i] = Complex(series[i], 0.0);
+        fft.forward();
+        const std::size_t mismatch = firstBitMismatch(data, expected);
+        ASSERT_EQ(mismatch, data.size())
+            << "series " << s << " (kind " << static_cast<int>(kind)
+            << ") differs at bin " << mismatch;
+
+        const std::size_t legacyBin = legacy::dominantBins(expected, 3)[0];
+        ASSERT_EQ(fft.dominantBin(), legacyBin)
+            << "series " << s << " (kind " << static_cast<int>(kind)
+            << ")";
+
+        // An exact tie at the top sends dominantBin() to its sort.
+        double top = -1.0;
+        std::size_t lowestTop = 0, atTop = 0;
+        for (std::size_t i = 1; i < kSeriesLength / 2; ++i) {
+            const double magnitude = std::abs(expected[i]);
+            if (magnitude > top) {
+                top = magnitude;
+                lowestTop = i;
+                atTop = 1;
+            } else if (magnitude == top) {
+                ++atTop;
+            }
+        }
+        if (atTop > 1) {
+            ++ties;
+            tiesPastLowest += legacyBin != lowestTop;
+        }
+    }
+    EXPECT_GT(ties, 0u);
+    // The sort's pick is not simply the lowest tied bin, so the
+    // fallback cannot be replaced by a plain argmax.
+    EXPECT_GT(tiesPastLowest, 0u);
 }
 
 // --- choice grid -----------------------------------------------------------

@@ -7,6 +7,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <complex>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "policy/enhanced.hpp"
 #include "policy/faascache.hpp"
@@ -164,11 +167,18 @@ TEST(FunctionHistory, MinuteSeriesPlacesCounts)
     h.record(30.0);   // minute 0
     h.record(90.0);   // minute 1
     h.record(100.0);  // minute 1
-    const auto series = h.minuteSeries(3, 4); // minutes 0..3
-    ASSERT_EQ(series.size(), 4u);
-    EXPECT_DOUBLE_EQ(series[0], 1.0);
-    EXPECT_DOUBLE_EQ(series[1], 2.0);
-    EXPECT_DOUBLE_EQ(series[2], 0.0);
+    // Minutes 0..3, zero-padded to 8 entries.
+    std::vector<std::complex<double>> series(8, {7.0, 7.0});
+    h.minuteSeries(3, 4, series);
+    EXPECT_DOUBLE_EQ(series[0].real(), 1.0);
+    EXPECT_DOUBLE_EQ(series[1].real(), 2.0);
+    EXPECT_DOUBLE_EQ(series[2].real(), 0.0);
+    for (std::size_t i = 0; i < series.size(); ++i) {
+        EXPECT_DOUBLE_EQ(series[i].imag(), 0.0);
+        if (i >= 4) {
+            EXPECT_DOUBLE_EQ(series[i].real(), 0.0);
+        }
+    }
     EXPECT_EQ(h.recentCount(3, 4), 3u);
 }
 
@@ -180,9 +190,10 @@ TEST(FunctionHistory, MinuteWindowForgetsOldMinutes)
     h.record(130.0);  // minute 2
     h.record(190.0);  // minute 3: evicts minute 0
     EXPECT_EQ(h.recentCount(3, 10), 3u);
-    const auto series = h.minuteSeries(3, 4);
-    EXPECT_DOUBLE_EQ(series[0], 0.0); // minute 0 forgotten
-    EXPECT_DOUBLE_EQ(series[3], 1.0);
+    std::vector<std::complex<double>> series(4);
+    h.minuteSeries(3, 4, series);
+    EXPECT_DOUBLE_EQ(series[0].real(), 0.0); // minute 0 forgotten
+    EXPECT_DOUBLE_EQ(series[3].real(), 1.0);
 }
 
 TEST(FunctionHistory, IatCvDistinguishesPatterns)
