@@ -110,6 +110,7 @@ main(int argc, char** argv)
                   "keep-alive $"});
     policy::SitW sitw;
     const auto sitwRun = harness.runNamed(sitw);
+    harness.primeBudgetRate(sitwRun.result);
     core::CodeCrunch codecrunch(harness.codecrunchConfig());
     const auto crunchRun = harness.runNamed(codecrunch);
     for (const auto* run : {&sitwRun, &crunchRun}) {

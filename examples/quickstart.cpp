@@ -36,6 +36,7 @@ main()
     //    keep-alive budget the baseline spent.
     policy::SitW sitw;
     const auto baseline = harness.runNamed(sitw);
+    harness.primeBudgetRate(baseline.result);
 
     core::CodeCrunch codecrunch(harness.codecrunchConfig());
     const auto crunch = harness.runNamed(codecrunch);

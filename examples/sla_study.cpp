@@ -48,7 +48,9 @@ main(int argc, char** argv)
     };
 
     policy::SitW sitw;
-    addRow("SitW", harness.run(sitw));
+    const auto sitwRun = harness.run(sitw);
+    harness.primeBudgetRate(sitwRun);
+    addRow("SitW", sitwRun);
     core::CodeCrunch plain(harness.codecrunchConfig());
     addRow("CodeCrunch", harness.run(plain));
 

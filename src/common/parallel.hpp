@@ -4,11 +4,13 @@
  * SRE optimizer in opt/) run their sub-problems on whatever worker
  * pool is driving the current thread, without depending on the runner
  * layer. The runner's ThreadPool implements ParallelExecutor and
- * installs itself on its worker threads, so `--threads N` bounds total
- * process concurrency instead of every layer spawning its own threads.
+ * installs itself on its worker threads; it is the only way the
+ * simulator runs work in parallel, so `--threads N` bounds total
+ * process concurrency.
  *
- * Code running outside any pool (serial Harness::run, unit tests) sees
- * no executor and falls back to its legacy behavior.
+ * Code running outside any pool (serial Harness::run, dist workers,
+ * unit tests) sees no executor and runs its work in order on the
+ * calling thread.
  */
 #pragma once
 

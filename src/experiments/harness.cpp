@@ -1,5 +1,7 @@
 #include "experiments/harness.hpp"
 
+#include "common/logging.hpp"
+
 namespace codecrunch::experiments {
 
 Scenario
@@ -79,10 +81,9 @@ Harness::sitwBudgetRate() const
 {
     std::lock_guard<std::mutex> lock(budgetMutex_);
     if (!sitwRate_) {
-        policy::SitW sitw;
-        const RunResult result = run(sitw);
-        sitwRate_ = result.keepAliveSpend /
-                    std::max(workload_.duration, 1.0);
+        fatal("Harness: the SitW budget rate was read before "
+              "primeBudgetRate(); run SitW and prime the harness "
+              "with its result first");
     }
     return *sitwRate_;
 }
@@ -96,13 +97,6 @@ Harness::primeBudgetRate(const RunResult& sitwResult) const
                     std::max(workload_.duration, 1.0);
     }
     return *sitwRate_;
-}
-
-bool
-Harness::hasBudgetRate() const
-{
-    std::lock_guard<std::mutex> lock(budgetMutex_);
-    return sitwRate_.has_value();
 }
 
 core::CodeCrunchConfig

@@ -85,26 +85,20 @@ class Harness
 
     /**
      * Observed SitW keep-alive spend rate ($/s) — the budget every
-     * budget-normalized policy receives. Computed once (one SitW run
-     * under the scenario's driver config) and cached; thread-safe, so
-     * a harness may be shared across concurrent runner jobs. Plans
-     * that already run SitW should primeBudgetRate() instead of
-     * paying for a hidden second run.
+     * budget-normalized policy receives. Thread-safe, so a harness may
+     * be shared across concurrent runner jobs. Fatal unless
+     * primeBudgetRate() ran first.
      */
     double sitwBudgetRate() const;
 
     /**
      * Derive and install the budget rate from an already-completed
-     * SitW run — the explicit form of the sitwBudgetRate() dependency
-     * for engine plans (run SitW as a job, prime, then build the
-     * budget-normalized jobs). First caller wins; later calls (and
-     * sitwBudgetRate()) observe the same value.
+     * SitW run: run SitW (as a plan stage or via run()), prime, then
+     * build the budget-normalized policies. First caller wins; later
+     * calls (and sitwBudgetRate()) observe the same value.
      * @return the effective cached rate.
      */
     double primeBudgetRate(const RunResult& sitwResult) const;
-
-    /** True once the budget rate has been computed or primed. */
-    bool hasBudgetRate() const;
 
     /** CodeCrunch configured with the SitW-normalized budget. */
     core::CodeCrunchConfig
@@ -123,7 +117,7 @@ class Harness
   private:
     Scenario scenario_;
     trace::Workload workload_;
-    /** Guards the one-time budget-rate computation. */
+    /** Guards the first-caller-wins budget-rate priming. */
     mutable std::mutex budgetMutex_;
     mutable std::optional<double> sitwRate_;
 };

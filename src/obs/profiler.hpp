@@ -14,8 +14,8 @@
  *    and the table prints the projected total, so "with all sinks
  *    disabled" regressions can be bounded from the enabled run.
  *  - Threads register their tree on first use and merge it into a
- *    retired aggregate at thread exit — required because the SRE
- *    optimizer spawns short-lived sub-problem threads every tick.
+ *    retired aggregate at thread exit, so the phases of a destroyed
+ *    RunEngine's pool workers survive into later reports.
  *  - Phase names must have static storage duration (string literals):
  *    nodes keep the pointer.
  *

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <thread>
 
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
@@ -635,9 +634,9 @@ SreOptimizer::optimizeWithCounts(const SeparableObjective& objective,
 
         // Disjoint sub-problems, each optimized against a frozen
         // snapshot of this round's starting assignment — in parallel
-        // when configured (the paper runs sub-problems in parallel).
-        // The per-sub-problem changes are then merged (the paper's
-        // recombination into the original space).
+        // when a pool drives this thread (the paper runs sub-problems
+        // in parallel). The per-sub-problem changes are then merged
+        // (the paper's recombination into the original space).
         std::vector<std::vector<std::size_t>> subproblems;
         for (std::size_t s = 0; s < numSub; ++s) {
             const std::size_t beginIdx = s * perSub;
@@ -668,34 +667,15 @@ SreOptimizer::optimizeWithCounts(const SeparableObjective& objective,
                 baseCost, budgetShare, config_.innerRounds);
         };
         {
-            // Parent scope on the calling thread; each worker records
-            // its own sre.subproblem tree, merged when it exits.
+            // Parent scope on the calling thread; each pool worker
+            // records its own sre.subproblem tree.
             CC_PHASE("sre.subproblems");
-            ParallelExecutor* executor = currentParallelExecutor();
-            if (config_.parallel && subproblems.size() > 1 &&
-                executor != nullptr) {
-                // Inside a runner job: fan out on the runner's own
-                // pool so --threads bounds total process concurrency
-                // (the executor lets this thread claim sub-problems
-                // itself, so this cannot deadlock the pool).
+            // Inside a runner job, fan out on the runner's own pool so
+            // --threads bounds total process concurrency (the executor
+            // lets this thread claim sub-problems itself, so this
+            // cannot deadlock the pool). Elsewhere, run them in order.
+            if (ParallelExecutor* executor = currentParallelExecutor()) {
                 executor->parallelFor(subproblems.size(), solve);
-            } else if (config_.parallel && subproblems.size() > 1) {
-                // Standalone use (unit tests, tools): private threads
-                // capped by maxThreads, as before.
-                const std::size_t threadCap = config_.maxThreads
-                    ? config_.maxThreads
-                    : std::max(1u,
-                               std::thread::hardware_concurrency());
-                for (std::size_t begin = 0;
-                     begin < subproblems.size(); begin += threadCap) {
-                    const std::size_t end = std::min(
-                        subproblems.size(), begin + threadCap);
-                    std::vector<std::thread> workers;
-                    for (std::size_t s = begin; s < end; ++s)
-                        workers.emplace_back(solve, s);
-                    for (auto& worker : workers)
-                        worker.join();
-                }
             } else {
                 for (std::size_t s = 0; s < subproblems.size(); ++s)
                     solve(s);

@@ -259,23 +259,6 @@ struct SreConfig {
     std::size_t rounds = 2;
     /** Inner coordinate-descent round cap per sub-problem. */
     std::size_t innerRounds = 64;
-    /**
-     * Optimize the round's sub-problems on worker threads (the paper
-     * optimizes sub-problems in parallel). Sub-problems are disjoint
-     * and each works against a frozen snapshot of the round's
-     * starting assignment, so results are deterministic and identical
-     * to the sequential snapshot-merge execution.
-     *
-     * When the calling thread belongs to a runner ThreadPool (i.e. the
-     * optimizer runs inside a RunEngine job), sub-problems fan out on
-     * that SAME pool via the ParallelExecutor hook
-     * (common/parallel.hpp), so `--threads N` bounds total process
-     * concurrency; maxThreads only applies to the standalone fallback
-     * that spawns private threads.
-     */
-    bool parallel = true;
-    /** Thread cap for standalone mode (0 = hardware concurrency). */
-    std::size_t maxThreads = 0;
 };
 
 /**
@@ -284,6 +267,13 @@ struct SreConfig {
  * rarely-optimized ones), optimize each sub-problem with the inner
  * optimizer while everything else stays fixed, recombine, and repeat
  * for a few rounds.
+ *
+ * The paper optimizes sub-problems in parallel. Here they run on the
+ * current ParallelExecutor (common/parallel.hpp) when one is installed,
+ * which every RunEngine job has, and otherwise in order on the calling
+ * thread. Sub-problems are disjoint and each works against a frozen
+ * snapshot of the round's starting assignment, so the result is the
+ * same either way.
  */
 class SreOptimizer : public Optimizer
 {

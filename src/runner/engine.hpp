@@ -1,7 +1,7 @@
 /**
  * @file
  * RunPlan/RunEngine: express an experiment as a set of labelled jobs
- * and execute them concurrently on a work-stealing pool while staying
+ * and execute them concurrently on a FIFO thread pool while staying
  * bit-identical to serial execution.
  *
  * The determinism contract:
@@ -114,9 +114,9 @@ class Plan
 };
 
 /**
- * Executes plans on a work-stealing pool; results come back in plan
- * order and the first job exception (in plan order) is rethrown after
- * every job has settled.
+ * Executes plans on a FIFO thread pool (jobs start in plan order);
+ * results come back in plan order and the first job exception (in plan
+ * order) is rethrown after every job has settled.
  */
 struct RunEngineOptions {
     /** Worker threads; 0 means hardware concurrency. */

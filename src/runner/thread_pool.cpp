@@ -1,22 +1,11 @@
 #include "runner/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <memory>
 
 namespace codecrunch::runner {
-
-namespace {
-
-/** Worker index of the current thread in its owning pool, if any. */
-thread_local ThreadPool* tlsPool = nullptr;
-thread_local std::size_t tlsWorkerIndex = 0;
-
-} // namespace
-
-ThreadPool*
-ThreadPool::currentThreadPool()
-{
-    return tlsPool;
-}
 
 ThreadPool::ThreadPool(std::size_t threads)
 {
@@ -24,21 +13,31 @@ ThreadPool::ThreadPool(std::size_t threads)
         threads = std::max<std::size_t>(
             1, std::thread::hardware_concurrency());
     }
-    workers_.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i)
-        workers_.push_back(std::make_unique<Worker>());
     threads_.reserve(threads);
-    for (std::size_t i = 0; i < threads; ++i)
-        threads_.emplace_back([this, i] { workerLoop(i); });
+    try {
+        for (std::size_t i = 0; i < threads; ++i)
+            threads_.emplace_back([this] { workerLoop(); });
+    } catch (...) {
+        // A worker that failed to start must not leave the ones
+        // already running unjoined.
+        stopAndJoin();
+        throw;
+    }
 }
 
 ThreadPool::~ThreadPool()
 {
+    stopAndJoin();
+}
+
+void
+ThreadPool::stopAndJoin()
+{
     {
-        std::lock_guard<std::mutex> lock(sleepMutex_);
-        stopping_.store(true);
+        std::lock_guard<std::mutex> lock(mutex_);
+        stopping_ = true;
     }
-    sleepCv_.notify_all();
+    cv_.notify_all();
     for (auto& thread : threads_)
         thread.join();
 }
@@ -46,101 +45,34 @@ ThreadPool::~ThreadPool()
 void
 ThreadPool::submit(std::function<void()> task)
 {
-    // A worker submitting from inside a task pushes onto its own deque
-    // (popped LIFO before it goes back to stealing); external threads
-    // spread round-robin.
-    std::size_t target;
-    if (tlsPool == this) {
-        target = tlsWorkerIndex;
-    } else {
-        target = nextSubmit_.fetch_add(1, std::memory_order_relaxed) %
-                 workers_.size();
-    }
     {
-        std::lock_guard<std::mutex> lock(workers_[target]->mutex);
-        workers_[target]->deque.push_back(std::move(task));
+        std::lock_guard<std::mutex> lock(mutex_);
+        queue_.push_back(std::move(task));
     }
-    // Store-buffering pair with the worker park path: the submitter
-    // publishes queued_ then reads sleepers_; a parking worker
-    // advertises sleepers_ then re-reads queued_ (both seq_cst, both
-    // under no common lock). At least one side must observe the
-    // other, so either this submit skips the lock because the worker
-    // was never parked (it saw our task), or it sees the sleeper and
-    // wakes exactly one. Under load — no parked workers — submit is
-    // lock-free and notify-free.
-    queued_.fetch_add(1, std::memory_order_seq_cst);
-    if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-        // Taking the mutex before notifying closes the window where
-        // the sleeper has advertised itself but not yet blocked: the
-        // mutex is only released once the worker is either waiting
-        // (notify reaches it) or re-checking the predicate (it sees
-        // queued_ > 0).
-        std::lock_guard<std::mutex> lock(sleepMutex_);
-        sleepCv_.notify_one();
-    }
-}
-
-bool
-ThreadPool::takeTask(std::size_t self, std::function<void()>& out)
-{
-    {
-        Worker& own = *workers_[self];
-        std::lock_guard<std::mutex> lock(own.mutex);
-        if (!own.deque.empty()) {
-            out = std::move(own.deque.back());
-            own.deque.pop_back();
-            return true;
-        }
-    }
-    // Steal the oldest task from the first non-empty victim, scanning
-    // from the next worker so thieves spread out.
-    for (std::size_t step = 1; step < workers_.size(); ++step) {
-        Worker& victim =
-            *workers_[(self + step) % workers_.size()];
-        std::lock_guard<std::mutex> lock(victim.mutex);
-        if (!victim.deque.empty()) {
-            out = std::move(victim.deque.front());
-            victim.deque.pop_front();
-            return true;
-        }
-    }
-    return false;
+    cv_.notify_one();
 }
 
 void
-ThreadPool::workerLoop(std::size_t index)
+ThreadPool::workerLoop()
 {
-    tlsPool = this;
-    tlsWorkerIndex = index;
     // Sub-problem parallelism (e.g. SRE) fans out on this same pool
     // while a job runs on this thread, so --threads bounds the whole
     // process (common/parallel.hpp).
     ScopedParallelExecutor executorGuard(this);
-    std::function<void()> task;
     for (;;) {
-        if (takeTask(index, task)) {
-            queued_.fetch_sub(1, std::memory_order_acquire);
-            task();
-            task = nullptr;
-            continue;
+        std::function<void()> task;
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            cv_.wait(lock,
+                     [this] { return stopping_ || !queue_.empty(); });
+            // Shutdown drains the queue: only exit once no task remains.
+            if (queue_.empty())
+                return;
+            task = std::move(queue_.front());
+            queue_.pop_front();
         }
-        std::unique_lock<std::mutex> lock(sleepMutex_);
-        // Advertise before the final queue re-check (see submit's
-        // store-buffering comment); stays advertised across spurious
-        // wakeups so a submitter never misses a parked worker.
-        sleepers_.fetch_add(1, std::memory_order_seq_cst);
-        sleepCv_.wait(lock, [this] {
-            return stopping_.load() ||
-                   queued_.load(std::memory_order_seq_cst) > 0;
-        });
-        sleepers_.fetch_sub(1, std::memory_order_relaxed);
-        // Shutdown drains the queues: only exit once no task remains.
-        if (stopping_.load() &&
-            queued_.load(std::memory_order_acquire) == 0) {
-            break;
-        }
+        task();
     }
-    tlsPool = nullptr;
 }
 
 void
@@ -196,8 +128,8 @@ ThreadPool::parallelFor(std::size_t count,
     };
 
     // One helper per item beyond the caller's share, capped at the
-    // pool width; idle workers steal them, busy pools just let the
-    // caller run everything itself.
+    // pool width; idle workers pick them up, and in a busy pool the
+    // caller runs everything itself (late helpers find nothing left).
     const std::size_t helpers =
         std::min<std::size_t>(count - 1, threadCount());
     for (std::size_t h = 0; h < helpers; ++h)

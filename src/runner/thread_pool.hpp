@@ -1,48 +1,34 @@
 /**
  * @file
- * Work-stealing thread pool for coarse-grained experiment jobs.
+ * FIFO thread pool for coarse-grained experiment jobs.
  *
- * Each worker owns a deque: the owner pushes and pops at the back
- * (LIFO, cache-friendly for nested submissions) while idle workers
- * steal from the front of other deques (FIFO, oldest work first).
- * External threads submit round-robin across the deques. Destruction
- * is shutdown-safe: remaining queued tasks are drained before the
- * workers are joined, so no submitted task is silently dropped.
- *
- * Wakeup protocol (eventcount-style): submitters only touch the sleep
- * lock when at least one worker is actually parked — `sleepers_`
- * counts parked workers, and workers advertise themselves (under the
- * lock, before re-checking the queue) so the no-sleeper fast path
- * cannot lose a wakeup. Under load every worker is busy, so submit is
- * one deque push plus two atomics: no global lock, no notify, and
- * never more than one worker woken per task (see the contention
- * regression test in runner_test).
+ * One queue guarded by one mutex and one condition variable: submit()
+ * pushes to the back and wakes one worker, workers pop from the
+ * front, so tasks start in submission order (a plan's jobs start in
+ * plan order). Destruction is shutdown-safe: remaining queued tasks
+ * are drained before the workers are joined, so no submitted task is
+ * silently dropped.
  *
  * Tasks are run-to-completion std::function<void()> thunks. Exceptions
  * must not escape a task; RunEngine (engine.hpp) captures them per job
- * and rethrows on the caller's thread, and submitTask() wraps a
- * callable into a std::packaged_task so they surface via the future.
+ * and rethrows on the caller's thread.
  *
  * The pool also implements ParallelExecutor (common/parallel.hpp) and
  * installs itself on its worker threads, so lower layers (the SRE
- * optimizer) can fan their sub-problems out on the same pool instead
- * of spawning private threads — `--threads` then bounds total process
- * concurrency. parallelFor() lets the calling thread claim and run
- * batch items itself, so invoking it from inside a pool task cannot
- * deadlock even when every other worker is busy.
+ * optimizer) fan their sub-problems out on the same pool — `--threads`
+ * then bounds total process concurrency. parallelFor() lets the
+ * calling thread claim and run batch items itself, so invoking it from
+ * inside a pool task cannot deadlock even when every other worker is
+ * busy.
  */
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -50,7 +36,7 @@
 namespace codecrunch::runner {
 
 /**
- * Fixed-size work-stealing pool.
+ * Fixed-size FIFO pool.
  */
 class ThreadPool : public ParallelExecutor
 {
@@ -68,30 +54,14 @@ class ThreadPool : public ParallelExecutor
     ThreadPool& operator=(const ThreadPool&) = delete;
 
     /** Number of worker threads. */
-    std::size_t threadCount() const { return workers_.size(); }
+    std::size_t threadCount() const { return threads_.size(); }
 
     /**
-     * Enqueue a task. Safe from any thread, including from inside a
-     * running task (the owning worker's deque is used in that case).
-     * Must not be called after destruction has begun.
+     * Enqueue a task behind every task already queued. Safe from any
+     * thread, including from inside a running task. Must not be
+     * called after destruction has begun.
      */
     void submit(std::function<void()> task);
-
-    /**
-     * Enqueue a callable and get a future for its result; exceptions
-     * thrown by the callable propagate through the future.
-     */
-    template <typename F>
-    auto
-    submitTask(F&& fn) -> std::future<std::invoke_result_t<F>>
-    {
-        using R = std::invoke_result_t<F>;
-        auto task = std::make_shared<std::packaged_task<R()>>(
-            std::forward<F>(fn));
-        std::future<R> future = task->get_future();
-        submit([task] { (*task)(); });
-        return future;
-    }
 
     /**
      * Run body(0..count-1) across the pool and the calling thread;
@@ -106,36 +76,20 @@ class ThreadPool : public ParallelExecutor
     parallelFor(std::size_t count,
                 const std::function<void(std::size_t)>& body) override;
 
-    /** The pool whose worker thread we are on, if any. */
-    static ThreadPool* currentThreadPool();
-
-    /** Tasks submitted but not yet started (approximate, for tests). */
-    std::size_t queuedApprox() const { return queued_.load(); }
-
-    /** Workers currently parked (approximate, for tests). */
-    std::size_t sleepersApprox() const { return sleepers_.load(); }
-
   private:
-    /** One worker's deque; the mutex is uncontended except on steals. */
-    struct Worker {
-        std::deque<std::function<void()>> deque;
-        std::mutex mutex;
-    };
+    void workerLoop();
 
-    void workerLoop(std::size_t index);
+    /** Lets the workers drain the queue and exit, then joins them. */
+    void stopAndJoin();
 
-    /** Pop from own back, else steal from another front. */
-    bool takeTask(std::size_t self, std::function<void()>& out);
-
-    std::vector<std::unique_ptr<Worker>> workers_;
+    std::mutex mutex_;
+    /** Pending tasks, oldest first; guarded by mutex_. */
+    std::deque<std::function<void()>> queue_;
+    /** Set once by stopAndJoin(); guarded by mutex_. */
+    bool stopping_ = false;
+    std::condition_variable cv_;
+    /** Declared last: the workers use every member above. */
     std::vector<std::thread> threads_;
-    std::atomic<std::size_t> queued_{0};
-    /** Workers parked on sleepCv_; see the wakeup protocol above. */
-    std::atomic<std::size_t> sleepers_{0};
-    std::atomic<std::size_t> nextSubmit_{0};
-    std::atomic<bool> stopping_{false};
-    std::mutex sleepMutex_;
-    std::condition_variable sleepCv_;
 };
 
 } // namespace codecrunch::runner

@@ -26,6 +26,10 @@ class IntegrationTest : public ::testing::Test
         scenario.traceConfig.days = 0.15;
         scenario.traceConfig.targetMeanRatePerSecond = 3.0;
         harness_ = new Harness(scenario);
+        // Budget-normalized policies get the keep-alive spend of this
+        // one SitW run.
+        policy::SitW sitw;
+        harness_->primeBudgetRate(harness_->run(sitw));
     }
 
     static void

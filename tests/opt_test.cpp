@@ -540,35 +540,12 @@ TEST(Optimizers, Fig3OrderingOnLargeConstrainedProblem)
     EXPECT_LT(sreResult.score, geneticResult.score);
 }
 
-TEST(Optimizers, ParallelSreMatchesSequentialSnapshotMerge)
-{
-    // Sub-problems are disjoint and work against a frozen snapshot,
-    // so the threaded execution must be bit-identical to sequential.
-    SyntheticObjective objective(90, 0.5, 11);
-    const Assignment start(90, Choice{});
-    SreOptimizer::Config parallelConfig;
-    parallelConfig.parallel = true;
-    SreOptimizer::Config serialConfig = parallelConfig;
-    serialConfig.parallel = false;
-    Rng rngA(3), rngB(3);
-    const auto parallelResult =
-        SreOptimizer(parallelConfig).optimize(objective, start, rngA);
-    const auto serialResult =
-        SreOptimizer(serialConfig).optimize(objective, start, rngB);
-    EXPECT_DOUBLE_EQ(parallelResult.score, serialResult.score);
-    ASSERT_EQ(parallelResult.assignment.size(),
-              serialResult.assignment.size());
-    for (std::size_t i = 0; i < parallelResult.assignment.size(); ++i)
-        EXPECT_TRUE(parallelResult.assignment[i] ==
-                    serialResult.assignment[i]);
-}
-
-TEST(Optimizers, ParallelSreImprovesScore)
+TEST(Optimizers, SreImprovesFromRandomStart)
 {
     SyntheticObjective objective(120, 0.5, 12);
     Rng rng(12);
     const Assignment start = randomAssignment(120, rng);
-    SreOptimizer sre; // parallel by default
+    SreOptimizer sre;
     const auto result = sre.optimize(objective, start, rng);
     EXPECT_LT(result.score, objective.score(start));
 }
@@ -600,24 +577,21 @@ TEST(Optimizers, RandomAssignmentIsInGrid)
 TEST(Optimizers, SreOnSharedRunnerPoolMatchesSequential)
 {
     // When an executor is installed (as runner pool workers do), SRE
-    // fans its sub-problems out on that shared pool instead of
-    // spawning private threads; results must stay bit-identical.
+    // fans its sub-problems out on that shared pool; without one it
+    // runs them in order on the caller. Sub-problems are disjoint and
+    // work against a frozen snapshot, so both must be bit-identical.
     SyntheticObjective objective(90, 0.5, 11);
     const Assignment start(90, Choice{});
-    SreOptimizer::Config config;
-    config.parallel = true;
-    SreOptimizer::Config serialConfig = config;
-    serialConfig.parallel = false;
     Rng rngA(3), rngB(3);
     runner::ThreadPool pool(3);
     OptimizerResult pooled;
     {
         ScopedParallelExecutor guard(&pool);
-        pooled =
-            SreOptimizer(config).optimize(objective, start, rngA);
+        pooled = SreOptimizer().optimize(objective, start, rngA);
     }
+    ASSERT_EQ(currentParallelExecutor(), nullptr);
     const auto serialResult =
-        SreOptimizer(serialConfig).optimize(objective, start, rngB);
+        SreOptimizer().optimize(objective, start, rngB);
     EXPECT_DOUBLE_EQ(pooled.score, serialResult.score);
     ASSERT_EQ(pooled.assignment.size(),
               serialResult.assignment.size());

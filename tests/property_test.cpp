@@ -347,6 +347,8 @@ TEST_P(ReportInvariants, CodeCrunchAggregatesAreWellFormed)
     Scenario scenario = Scenario::goldenPreset();
     scenario.traceConfig.seed = GetParam() ^ 0x5eedull;
     const Harness harness(scenario);
+    policy::SitW sitw;
+    harness.primeBudgetRate(harness.run(sitw));
     core::CodeCrunch policy(harness.codecrunchConfig());
     checkReportInvariants(harness, harness.run(policy));
 }
