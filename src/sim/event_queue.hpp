@@ -8,13 +8,16 @@
  *   Top     unsorted pile of far-future events (when >= topStart_).
  *   Rungs   a stack of bucket arrays. Each rung spans a time range cut
  *           into equal-width buckets; an oversized bucket is re-spread
- *           into a deeper rung with finer buckets when it is reached.
+ *           into a deeper rung with finer buckets when it is reached,
+ *           and a rung is dropped once its last bucket is taken.
  *   Bottom  a small sorted vector of near-now events, consumed front
- *           to back.
+ *           to back. A sorted insert that leaves more than 64 live
+ *           entries turns them into a new deepest rung; the consumed
+ *           prefix is dropped once it outgrows the live tail.
  *
- * Inserts append to Top or a bucket in O(1); only the ~64 events
- * nearest to now are ever sorted, so enqueue/dequeue are O(1)
- * amortized at trace densities (vs O(log n) heap sifts). Ordering is
+ * Inserts append to Top or a bucket in O(1) and Bottom stays short,
+ * so enqueue/dequeue are O(1) amortized at trace densities (vs
+ * O(log n) heap sifts). Ordering is
  * the total order (when, seq) with seq a monotone insertion counter,
  * exactly the comparator the old heap used: events at equal timestamps
  * fire in insertion order (FIFO), which keeps simulations
@@ -40,8 +43,10 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -230,12 +235,17 @@ class EventQueue
 
     /**
      * Schedule a callback at an absolute time.
-     * @param when absolute simulated time; must be >= now().
+     * @param when absolute simulated time; must be finite and
+     *        >= now().
      * @return handle usable for cancellation.
      */
     EventHandle
     schedule(Seconds when, EventCallback callback)
     {
+        // A NaN would break earlier()'s strict weak order and, like
+        // +inf, make bucketIndex() cast a non-finite position.
+        if (!std::isfinite(when))
+            panic("EventQueue: non-finite event time ", when);
         if (when < now_)
             panic("EventQueue: scheduling into the past (", when,
                   " < ", now_, ")");
@@ -267,6 +277,12 @@ class EventQueue
      * pending()). For tests.
      */
     std::size_t storedEntries() const { return entries_; }
+
+    /**
+     * Entries currently held in Bottom, including its consumed prefix
+     * (bounded by ~2x its live tail). For tests.
+     */
+    std::size_t bottomEntries() const { return bottom_.size(); }
 
     /**
      * Fire the earliest live event.
@@ -341,9 +357,10 @@ class EventQueue
         std::vector<std::vector<Entry>> buckets;
     };
 
-    // Tuning: buckets re-spread once they exceed kSortThreshold
-    // entries; rungs have at most kMaxBuckets buckets; recursion stops
-    // at kMaxDepth (degenerate distributions fall back to sorting).
+    // Tuning: buckets re-spread, and Bottom spills into a rung, once
+    // they exceed kSortThreshold entries; rungs have at most
+    // kMaxBuckets buckets; recursion stops at kMaxDepth (degenerate
+    // distributions fall back to sorting).
     static constexpr std::size_t kSortThreshold = 64;
     static constexpr std::size_t kMaxBuckets = 1u << 15;
     static constexpr std::size_t kMaxDepth = 24;
@@ -392,15 +409,34 @@ class EventQueue
         bottomInsert(std::move(entry));
     }
 
-    /** Sorted insert into the live tail of Bottom. */
+    /**
+     * Sorted insert into the live tail of Bottom. A tail grown past
+     * bottomLimit_ moves into a new deepest rung: every Bottom entry
+     * sorts before all unconsumed rung buckets, so this only
+     * reorganizes. When the tail cannot be split (one timestamp, or
+     * kMaxDepth) it stays sorted and the limit doubles until the next
+     * refill, so a same-timestamp burst is not re-examined on every
+     * insert.
+     */
     void
     bottomInsert(Entry entry)
     {
-        const auto pos = std::upper_bound(
-            bottom_.begin() +
-                static_cast<std::ptrdiff_t>(bottomHead_),
-            bottom_.end(), entry, earlier);
-        bottom_.insert(pos, std::move(entry));
+        bottom_.insert(std::upper_bound(liveBottom(), bottom_.end(),
+                                        entry, earlier),
+                       std::move(entry));
+        const std::size_t live = bottom_.size() - bottomHead_;
+        if (live <= bottomLimit_)
+            return;
+        if (rungWidth(bottom_[bottomHead_].when, bottom_.back().when,
+                      live) == 0.0) {
+            bottomLimit_ *= 2;
+            return;
+        }
+        std::vector<Entry> tail(std::make_move_iterator(liveBottom()),
+                                std::make_move_iterator(bottom_.end()));
+        bottom_.clear();
+        bottomHead_ = 0;
+        spread(std::move(tail));
     }
 
     /**
@@ -423,21 +459,36 @@ class EventQueue
             }
             bottom_.clear();
             bottomHead_ = 0;
+            bottomLimit_ = kSortThreshold;
             if (!refillBottom())
                 return nullptr;
         }
     }
 
-    /** Drop the entry peekLive() returned. */
+    /**
+     * Drop the entry peekLive() returned. The consumed prefix is
+     * erased once it outgrows the live tail, so each erase shifts no
+     * more entries than were consumed since the last one: pops stay
+     * O(1) amortized and Bottom holds O(live) entries even in an
+     * epoch that never drains it.
+     */
     void
     consumeHead()
     {
         --entries_;
         ++bottomHead_;
-        if (bottomHead_ == bottom_.size()) {
-            bottom_.clear();
+        if (2 * bottomHead_ > bottom_.size()) {
+            bottom_.erase(bottom_.begin(), liveBottom());
             bottomHead_ = 0;
         }
+    }
+
+    /** First entry of Bottom's live (unconsumed) tail. */
+    std::vector<Entry>::iterator
+    liveBottom()
+    {
+        return bottom_.begin() +
+               static_cast<std::ptrdiff_t>(bottomHead_);
     }
 
     /**
@@ -466,6 +517,13 @@ class EventQueue
             rung.buckets[idx].clear();
             rung.count -= bucket.size();
             rung.nextBucket = idx + 1;
+            // A spent rung passes every insert on to deeper rungs, so
+            // dropping it changes no order. Kept, it would let its
+            // last bucket (which takes everything past the rung's
+            // range) deepen the ladder by one rung per re-spread
+            // until kMaxDepth forces the sorted fallback.
+            if (rung.nextBucket == rung.buckets.size())
+                rungs_.pop_back();
             spread(std::move(bucket));
             return true;
         }
@@ -488,6 +546,21 @@ class EventQueue
     }
 
     /**
+     * Bucket width of a new deepest rung for n entries spanning
+     * [lo, hi], or 0 when there is none: the ladder is at kMaxDepth,
+     * or the range is too narrow to split (e.g. one timestamp).
+     */
+    Seconds
+    rungWidth(Seconds lo, Seconds hi, std::size_t n) const
+    {
+        if (rungs_.size() >= kMaxDepth)
+            return 0.0;
+        const Seconds width =
+            (hi - lo) / static_cast<double>(std::min(kMaxBuckets, n));
+        return width > 0.0 && lo + width > lo ? width : 0.0;
+    }
+
+    /**
      * Place a batch either sorted into (empty) Bottom or, when large
      * and spreadable, into a new finer-grained rung. Same-timestamp
      * bursts have zero range and take the sort path, which is what
@@ -503,24 +576,20 @@ class EventQueue
             hi = std::max(hi, entry.when);
         }
         const std::size_t n = entries.size();
-        if (n > kSortThreshold && rungs_.size() < kMaxDepth) {
+        const Seconds width =
+            n > kSortThreshold ? rungWidth(lo, hi, n) : 0.0;
+        if (width > 0.0) {
             Rung rung;
             rung.start = lo;
-            const std::size_t nbuckets =
-                std::min(kMaxBuckets, n);
-            rung.width = (hi - lo) / static_cast<double>(nbuckets);
-            if (rung.width > 0.0 && lo + rung.width > lo) {
-                rung.buckets.resize(nbuckets);
-                for (Entry& entry : entries) {
-                    const std::size_t idx =
-                        bucketIndex(rung, entry.when);
-                    rung.buckets[idx].push_back(std::move(entry));
-                }
-                rung.count = n;
-                rungs_.push_back(std::move(rung));
-                return;
+            rung.width = width;
+            rung.buckets.resize(std::min(kMaxBuckets, n));
+            for (Entry& entry : entries) {
+                const std::size_t idx = bucketIndex(rung, entry.when);
+                rung.buckets[idx].push_back(std::move(entry));
             }
-            // Range too narrow to split (e.g. one timestamp): sort.
+            rung.count = n;
+            rungs_.push_back(std::move(rung));
+            return;
         }
         std::sort(entries.begin(), entries.end(), earlier);
         bottom_ = std::move(entries);
@@ -592,9 +661,11 @@ class EventQueue
     std::shared_ptr<detail::StatePool> pool_;
 
     // Bottom: sorted ascending by (when, seq), consumed from
-    // bottomHead_ so pops are pointer bumps, not vector erases.
+    // bottomHead_ so pops are pointer bumps, not vector erases. A
+    // live tail longer than bottomLimit_ spills into a rung.
     std::vector<Entry> bottom_;
     std::size_t bottomHead_ = 0;
+    std::size_t bottomLimit_ = kSortThreshold;
 
     std::vector<Rung> rungs_; // [0] outermost, back() deepest
 

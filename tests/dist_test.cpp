@@ -442,13 +442,22 @@ TEST(EndToEnd, MasterAndWorkerExchangeJobsAndRejectBadVersions)
 
 namespace {
 
-/** Blocking read of one frame off a raw stream; nullopt on EOF. */
+/**
+ * Blocking read of the next frame off a raw stream; nullopt on EOF.
+ * Skips the master's Heartbeat RTT probes: it sends them to every
+ * handshaken worker on its own clock, so under load one can arrive
+ * before any plan message.
+ */
 std::optional<Frame>
 readOneFrame(TcpStream& stream, FrameParser& parser)
 {
     for (;;) {
-        if (auto frame = parser.next())
+        if (auto frame = parser.next()) {
+            if (frame->type ==
+                static_cast<std::uint8_t>(MsgType::Heartbeat))
+                continue;
             return frame;
+        }
         char buffer[4096];
         const long n = stream.recvSome(buffer, sizeof(buffer));
         if (n <= 0)

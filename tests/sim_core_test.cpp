@@ -9,9 +9,12 @@
  *    bounded runs — the fire sequences must match element for element,
  *    which is the proof that every golden artifact survives the
  *    rewrite.
+ *  - Fault-seeded epochs: far-future events scheduled first, then a
+ *    dense or sparse event chain below them. Fire sequences must match
+ *    the heap's and Bottom's stored size must stay bounded.
  *  - Ladder-specific ordering: FIFO within a timestamp across Top
  *    spills and epoch boundaries, where a calendar queue could
- *    plausibly reorder.
+ *    plausibly reorder. Non-finite event times panic.
  *  - Arena property tests: non-overlapping stable storage, alignment,
  *    poison-on-reset (0xDD), chunk reuse.
  *  - SlotPool: dense indices, LIFO slot recycling (determinism),
@@ -19,8 +22,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -166,6 +172,195 @@ TEST(DifferentialQueue, MultipleSeedsMatch)
                          legacy::LegacyEventHandle>(script);
         EXPECT_EQ(ladder, heap) << "seed " << seed;
     }
+}
+
+// --- fault-seeded epochs ----------------------------------------------------
+
+namespace {
+
+/**
+ * The queue shape Driver::run produces. A few dozen far-future fault
+ * events go in first, so the first Top spill sorts them straight into
+ * Bottom and every later event lands below topStart_. On top runs a
+ * self-rescheduling arrival chain. Each arrival schedules a short
+ * finish and cancels and re-arms its function's long expiry
+ * (keep-alive retargeting). Arrival `burstAt` also schedules
+ * `burstSize` events at one timestamp, each of which schedules a
+ * follow-up at that same timestamp when it fires.
+ */
+struct FaultSeededShape {
+    int faults = 0;
+    int arrivals = 0;
+    int functions = 1;
+    double meanGap = 1.0;   // arrival gaps drawn from [0, 2 * meanGap)
+    double finishMax = 1.0; // finish delays drawn from [0, finishMax)
+    double keepAlive = 0.0; // expiry delay; 0 schedules no expiries
+    int burstAt = -1;
+    int burstSize = 0;
+};
+
+struct FaultSeededRun {
+    std::vector<std::pair<double, std::uint64_t>> fired;
+    std::size_t maxPending = 0;
+    std::size_t maxBottom = 0; // peak bottomEntries(); ladder only
+};
+
+template <typename Queue, typename Handle>
+FaultSeededRun
+replayFaultSeeded(const FaultSeededShape& shape, std::uint64_t seed)
+{
+    // Every draw is made up front, so both queues replay the same
+    // decisions whatever order their events fire in.
+    Rng rng(seed);
+    std::vector<double> faultTimes;
+    for (int f = 0; f < shape.faults; ++f)
+        faultTimes.push_back(rng.uniform(1e4, 1e6));
+    std::vector<double> gaps, finishes;
+    std::vector<std::size_t> functions;
+    for (int i = 0; i < shape.arrivals; ++i) {
+        gaps.push_back(rng.uniform(0.0, 2.0 * shape.meanGap));
+        finishes.push_back(rng.uniform(0.0, shape.finishMax));
+        functions.push_back(static_cast<std::size_t>(
+            rng.uniformInt(0, shape.functions - 1)));
+    }
+
+    Queue queue;
+    FaultSeededRun run;
+    std::vector<Handle> expiries(
+        static_cast<std::size_t>(shape.functions));
+    const auto record = [&](std::uint64_t id) {
+        run.fired.emplace_back(queue.now(), id);
+        run.maxPending = std::max(run.maxPending, queue.pending());
+        if constexpr (requires { queue.bottomEntries(); })
+            run.maxBottom =
+                std::max(run.maxBottom, queue.bottomEntries());
+    };
+    // Every event gets its own id: faults first, then three per
+    // arrival (arrival, finish, expiry), then two per burst event (the
+    // event and its follow-up).
+    const auto arrivalIds = static_cast<std::uint64_t>(shape.faults);
+    const auto burstIds =
+        arrivalIds + 3 * static_cast<std::uint64_t>(shape.arrivals);
+    const auto id = [&](int arrival, std::uint64_t kind) {
+        return arrivalIds + 3 * static_cast<std::uint64_t>(arrival) +
+               kind;
+    };
+    for (int f = 0; f < shape.faults; ++f)
+        queue.schedule(faultTimes[static_cast<std::size_t>(f)],
+                       [&record, f] {
+                           record(static_cast<std::uint64_t>(f));
+                       });
+    std::function<void(int)> arrive = [&](int i) {
+        const auto at = static_cast<std::size_t>(i);
+        record(id(i, 0));
+        queue.scheduleAfter(finishes[at], [&, i] { record(id(i, 1)); });
+        if (shape.keepAlive > 0.0) {
+            Handle& expiry = expiries[functions[at]];
+            expiry.cancel();
+            expiry = queue.scheduleAfter(shape.keepAlive + finishes[at],
+                                         [&, i] { record(id(i, 2)); });
+        }
+        if (i == shape.burstAt) {
+            for (int b = 0; b < shape.burstSize; ++b) {
+                const std::uint64_t burstId =
+                    burstIds + 2 * static_cast<std::uint64_t>(b);
+                queue.scheduleAfter(3.0, [&, burstId] {
+                    record(burstId);
+                    queue.scheduleAfter(0.0, [&, burstId] {
+                        record(burstId + 1);
+                    });
+                });
+            }
+        }
+        if (i + 1 < shape.arrivals)
+            queue.scheduleAfter(gaps[at + 1], [&arrive, i] {
+                arrive(i + 1);
+            });
+    };
+    if (shape.arrivals > 0)
+        queue.schedule(gaps[0], [&arrive] { arrive(0); });
+    queue.run();
+    return run;
+}
+
+void
+expectSameFires(const FaultSeededRun& ladder, const FaultSeededRun& heap)
+{
+    ASSERT_EQ(ladder.fired.size(), heap.fired.size());
+    for (std::size_t i = 0; i < ladder.fired.size(); ++i) {
+        ASSERT_EQ(ladder.fired[i].second, heap.fired[i].second)
+            << "fire sequence diverges at position " << i;
+        ASSERT_EQ(ladder.fired[i].first, heap.fired[i].first)
+            << "fire time diverges at position " << i;
+    }
+}
+
+} // namespace
+
+TEST(DifferentialQueue, FaultSeededEpochMatchesLegacyHeap)
+{
+    // ~400 live expiries, a few finishes and one 200-event burst, all
+    // below the last fault: the shape that used to keep every event
+    // in one sorted Bottom. The 20,000 simulated seconds are long
+    // enough that a ladder keeping its spent rungs would reach
+    // kMaxDepth and fall back to a growing Bottom.
+    FaultSeededShape shape;
+    shape.faults = 48;
+    shape.arrivals = 200'000;
+    shape.functions = 400;
+    shape.meanGap = 0.1;
+    shape.finishMax = 2.0;
+    shape.keepAlive = 600.0;
+    shape.burstAt = 30'000;
+    shape.burstSize = 200;
+    const auto ladder =
+        replayFaultSeeded<EventQueue, EventHandle>(shape, 11);
+    const auto heap =
+        replayFaultSeeded<legacy::LegacyHeapQueue,
+                          legacy::LegacyEventHandle>(shape, 11);
+    expectSameFires(ladder, heap);
+    EXPECT_GT(ladder.maxPending, 400u);
+    // Bottom's live tail spills into a rung past 64 entries, or past
+    // twice the largest same-timestamp group it holds, and its stored
+    // size is at most twice its live tail plus one.
+    EXPECT_LE(ladder.maxBottom,
+              2 * (2 * static_cast<std::size_t>(shape.burstSize) + 1) +
+                  1);
+}
+
+TEST(EventQueue, SparseFaultSeededEpochKeepsBottomSmall)
+{
+    // Fewer than 64 events pending at any time, so Bottom never spills
+    // into a rung; it must still drop its consumed prefix.
+    FaultSeededShape shape;
+    shape.faults = 16;
+    shape.arrivals = 200'000;
+    shape.meanGap = 1.0;
+    shape.finishMax = 2.0;
+    const auto ladder =
+        replayFaultSeeded<EventQueue, EventHandle>(shape, 12);
+    const auto heap =
+        replayFaultSeeded<legacy::LegacyHeapQueue,
+                          legacy::LegacyEventHandle>(shape, 12);
+    expectSameFires(ladder, heap);
+    ASSERT_LT(ladder.maxPending, 64u);
+    EXPECT_LE(ladder.maxBottom, 2 * ladder.maxPending + 1);
+}
+
+TEST(EventQueue, NanTimePanics)
+{
+    EventQueue queue;
+    EXPECT_DEATH(queue.schedule(std::numeric_limits<double>::quiet_NaN(),
+                                [] {}),
+                 "non-finite event time");
+}
+
+TEST(EventQueue, InfiniteTimePanics)
+{
+    EventQueue queue;
+    EXPECT_DEATH(queue.schedule(std::numeric_limits<double>::infinity(),
+                                [] {}),
+                 "non-finite event time");
 }
 
 // --- ladder-specific ordering ----------------------------------------------

@@ -1,7 +1,17 @@
 #!/usr/bin/env python3
-"""Golden-artifact harness driver for one bench binary.
+"""Golden-artifact harness driver for bench binaries.
 
-Three modes, all built on the bench's ``--golden-mode`` preset (a
+    golden_check.py --mode MODE --bench PATH --name NAME [...]
+    golden_check.py --mode diff|update --all [--build-dir build]
+
+The first form checks one bench; the ctest targets use it. The second
+runs every bench that has a ``bench/golden/<name>.golden.json``,
+finding its binary at ``<build-dir>/bench/<name>``. It checks every
+golden even after a failure, then names each golden whose bench has no
+binary, failed to run, or did not match. No golden can be skipped
+silently.
+
+The modes are built on the bench's ``--golden-mode`` preset (a
 seconds-scale scenario so the whole suite fits in a CI job):
 
   diff         run the bench once and structurally diff its JSON
@@ -73,10 +83,16 @@ def parse_args(argv):
                         choices=["diff", "determinism", "update",
                                  "dist", "dist-kill", "dist-chaos",
                                  "dist-resume", "stress"])
-    parser.add_argument("--bench", required=True,
+    parser.add_argument("--bench",
                         help="path to the bench executable")
-    parser.add_argument("--name", required=True,
+    parser.add_argument("--name",
                         help="bench name, e.g. fig07_main_comparison")
+    parser.add_argument("--all", action="store_true",
+                        help="diff or update every golden-mode golden "
+                             "in --golden-dir")
+    parser.add_argument("--build-dir", default="build",
+                        help="with --all: build tree holding "
+                             "bench/<name> binaries")
     parser.add_argument("--golden-dir", default="bench/golden",
                         help="directory of checked-in goldens")
     parser.add_argument("--out-dir", default="bench/out",
@@ -92,7 +108,19 @@ def parse_args(argv):
     parser.add_argument("--die-after", type=int, default=2,
                         help="journaled jobs before the dist-resume "
                              "master self-kills")
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.all:
+        if args.mode not in ("diff", "update"):
+            parser.error("--all supports only --mode diff or update")
+        if args.bench or args.name:
+            parser.error("--all takes no --bench or --name")
+    elif not (args.bench and args.name):
+        parser.error("--bench and --name are required without --all")
+    return args
+
+
+class BenchError(Exception):
+    """A bench could not be run or wrote no artifact (exit status 2)."""
 
 
 def run_bench_raw(exe, json_path, threads, extra=()):
@@ -102,21 +130,16 @@ def run_bench_raw(exe, json_path, threads, extra=()):
     try:
         proc = subprocess.run(cmd, stdout=subprocess.DEVNULL)
     except OSError as err:
-        print(f"error: cannot run {exe}: {err}", file=sys.stderr)
-        sys.exit(2)
+        raise BenchError(f"cannot run {exe}: {err}") from err
     return proc.returncode
 
 
 def run_bench(exe, json_path, threads, extra=()):
     code = run_bench_raw(exe, json_path, threads, extra)
     if code != 0:
-        print(f"error: {exe} {' '.join(extra)} exited {code}",
-              file=sys.stderr)
-        sys.exit(2)
+        raise BenchError(f"{exe} {' '.join(extra)} exited {code}")
     if not os.path.exists(json_path):
-        print(f"error: {exe} did not write {json_path}",
-              file=sys.stderr)
-        sys.exit(2)
+        raise BenchError(f"{exe} did not write {json_path}")
 
 
 def count_journal_jobs(path):
@@ -151,12 +174,63 @@ def dist_worker_job_total(stats_path):
                name.endswith(".jobs"))
 
 
-def main(argv=None):
-    args = parse_args(argv)
-    os.makedirs(args.out_dir, exist_ok=True)
-    golden = os.path.join(args.golden_dir,
-                          f"{args.name}.golden.json")
+def check_golden(args, name, exe):
+    """Diff (or, in update mode, regenerate) one bench's golden."""
+    golden = os.path.join(args.golden_dir, f"{name}.golden.json")
+    fresh = os.path.join(args.out_dir, f"{name}.golden.json")
+    run_bench(exe, fresh, threads=args.threads)
+    if args.mode == "update":
+        os.makedirs(args.golden_dir, exist_ok=True)
+        return diff_report.main([fresh, golden, "--update"])
+    return diff_report.main([fresh, golden, "--profile", "golden"])
 
+
+def check_all(args):
+    """check_golden() for every golden-mode golden; names failures."""
+    suffix = ".golden.json"
+    try:
+        names = sorted(f[:-len(suffix)]
+                       for f in os.listdir(args.golden_dir)
+                       if f.endswith(suffix))
+    except OSError as err:
+        print(f"error: cannot list {args.golden_dir}: {err}",
+              file=sys.stderr)
+        return 2
+    if not names:
+        print(f"error: no *{suffix} goldens in {args.golden_dir}",
+              file=sys.stderr)
+        return 2
+    status = 0
+    failures = []
+    for name in names:
+        exe = os.path.join(args.build_dir, "bench", name)
+        if not os.access(exe, os.X_OK):
+            failures.append(f"{name} (no binary at {exe})")
+            status = 2
+            continue
+        try:
+            code = check_golden(args, name, exe)
+        except BenchError as err:
+            print(f"error: {err}", file=sys.stderr)
+            failures.append(f"{name} (bench failed)")
+            status = 2
+            continue
+        if code != 0:
+            failures.append(f"{name} (does not match)")
+            status = max(status, code)
+    if failures:
+        print(f"{len(failures)} of {len(names)} goldens failed:",
+              file=sys.stderr)
+        for failure in failures:
+            print(f"  {failure}", file=sys.stderr)
+        return status
+    verb = "updated" if args.mode == "update" else "match"
+    print(f"all {len(names)} goldens {verb}")
+    return 0
+
+
+def check_one(args):
+    """Run one --mode check on --bench."""
     if args.mode == "stress":
         out = os.path.join(args.out_dir, f"{args.name}.json")
         cmd = [args.bench, "--stress", "--quiet",
@@ -313,12 +387,19 @@ def main(argv=None):
               f"({len(local_bytes)} bytes)")
         return 0
 
-    fresh = os.path.join(args.out_dir, f"{args.name}.golden.json")
-    run_bench(args.bench, fresh, threads=args.threads)
-    if args.mode == "update":
-        os.makedirs(args.golden_dir, exist_ok=True)
-        return diff_report.main([fresh, golden, "--update"])
-    return diff_report.main([fresh, golden, "--profile", "golden"])
+    return check_golden(args, args.name, args.bench)
+
+
+def main(argv=None):
+    args = parse_args(argv)
+    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        if args.all:
+            return check_all(args)
+        return check_one(args)
+    except BenchError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":
