@@ -70,28 +70,6 @@ Cluster::domainCoolingDown(int domain, Seconds now) const
            now < last + config_.domainCooldownSeconds;
 }
 
-MegaBytes
-Cluster::warmMemoryInDomainMb(int domain) const
-{
-    MegaBytes total = 0;
-    for (const auto& node : nodes_) {
-        if (node.domain == domain)
-            total += node.warmMemoryMb;
-    }
-    return total;
-}
-
-int
-Cluster::downNodesInDomain(int domain) const
-{
-    int count = 0;
-    for (const auto& node : nodes_) {
-        if (node.domain == domain && node.down)
-            ++count;
-    }
-    return count;
-}
-
 std::vector<std::size_t>
 Cluster::nodesPerDomain() const
 {
@@ -188,34 +166,6 @@ MegaBytes
 Cluster::warmHeadroomMb(NodeId node) const
 {
     return warmHeadroom(nodes_.at(node));
-}
-
-std::optional<NodeId>
-Cluster::pickNodeForWarm(NodeType type, MegaBytes memoryMb,
-                         Seconds now) const
-{
-    const bool applyCooldown =
-        now >= 0.0 && config_.domainCooldownSeconds > 0.0 &&
-        numDomains_ > 1;
-    for (int pass = applyCooldown ? 0 : 1; pass < 2; ++pass) {
-        std::optional<NodeId> best;
-        MegaBytes bestFree = -1;
-        for (const auto& node : nodes_) {
-            if (node.down || node.type != type)
-                continue;
-            if (pass == 0 && domainCoolingDown(node.domain, now))
-                continue;
-            const MegaBytes headroom = warmHeadroom(node);
-            if (headroom + kMemEps >= memoryMb &&
-                headroom > bestFree) {
-                bestFree = headroom;
-                best = node.id;
-            }
-        }
-        if (best)
-            return best;
-    }
-    return std::nullopt;
 }
 
 void

@@ -198,7 +198,7 @@ class Cluster
      * drained it first — every warm container evicted and every
      * running execution released — so the capacity invariants survive
      * the crash; panics otherwise, and on a double crash. While down,
-     * the node is invisible to pickNodeForExec/pickNodeForWarm, its
+     * the node is invisible to pickNodeForExec, its
      * warm headroom is zero, and reserving resources on it panics.
      */
     void markDown(NodeId id);
@@ -232,12 +232,6 @@ class Cluster
      */
     bool domainCoolingDown(int domain, Seconds now) const;
 
-    /** Warm memory currently held inside one domain (MB). */
-    MegaBytes warmMemoryInDomainMb(int domain) const;
-
-    /** Nodes of one domain currently down. */
-    int downNodesInDomain(int domain) const;
-
     /** Node count per domain (index = domain). */
     std::vector<std::size_t> nodesPerDomain() const;
 
@@ -255,11 +249,6 @@ class Cluster
      */
     std::optional<NodeId>
     pickNodeForExec(NodeType type, MegaBytes memoryMb,
-                    Seconds now = -1.0) const;
-
-    /** True if some node of `type` could fit a warm container. */
-    std::optional<NodeId>
-    pickNodeForWarm(NodeType type, MegaBytes memoryMb,
                     Seconds now = -1.0) const;
 
     /** Reserve one core + memory on a node (start of an execution). */
@@ -388,13 +377,6 @@ class Cluster
      * dense per-function counter.
      */
     std::size_t snapshotCount(FunctionId function) const;
-
-    /** All resident snapshots (stable iteration order not guaranteed). */
-    const std::unordered_map<SnapshotId, SnapshotRecord>&
-    snapshotPool() const
-    {
-        return snapshotPool_;
-    }
 
     /** Snapshots evicted by storage-budget pressure so far. */
     std::uint64_t snapshotsEvictedForStorage() const

@@ -80,8 +80,6 @@ class BudgetCreditor
     double ratePerSecond() const { return ratePerSecond_; }
     Seconds interval() const { return interval_; }
 
-    void setRate(double ratePerSecond) { ratePerSecond_ = ratePerSecond; }
-
   private:
     double ratePerSecond_;
     Seconds interval_;

@@ -193,6 +193,9 @@ struct MasterBackend::Impl {
         }
 
         listener.listen(options.port);
+        // Spawned here, on the thread that constructs (and so owns)
+        // the backend: each worker dies when this thread exits
+        // (spawnWorkerProcess).
         if (options.spawnWorkers > 0) {
             if (options.argv.empty())
                 fatal("dist: spawning workers requires the master's "

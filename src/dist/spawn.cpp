@@ -4,6 +4,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
@@ -71,10 +72,18 @@ spawnWorkerProcess(const std::vector<std::string>& argv)
         cargv.push_back(const_cast<char*>(arg.c_str()));
     cargv.push_back(nullptr);
 
+    const pid_t master = ::getpid();
     const pid_t pid = ::fork();
     if (pid < 0)
         fatal("dist: fork() failed: ", std::strerror(errno));
     if (pid == 0) {
+        // A spawned worker dies with its master instead of redialling
+        // a port nobody serves (workers started with --dist-worker
+        // keep their reconnect loop). If the master died before prctl
+        // took effect, no signal will come: leave now.
+        ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+        if (::getppid() != master)
+            ::_exit(1);
         ::execv("/proc/self/exe", cargv.data());
         // Only reached when exec failed; bail hard without running
         // atexit handlers of the half-copied parent image.

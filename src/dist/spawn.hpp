@@ -26,7 +26,11 @@ std::vector<std::string>
 workerArgv(const std::vector<std::string>& masterArgv,
            std::uint16_t port);
 
-/** fork + execv /proc/self/exe with `argv`; fatal on failure. */
+/**
+ * fork + execv /proc/self/exe with `argv`; fatal on failure. The
+ * worker is SIGKILLed when the calling thread exits, so call this
+ * from the thread that owns the MasterBackend.
+ */
 pid_t spawnWorkerProcess(const std::vector<std::string>& argv);
 
 /**

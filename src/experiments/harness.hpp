@@ -4,9 +4,9 @@
  * and budget normalization for single policy runs (CodeCrunch and
  * Oracle receive exactly the keep-alive budget SitW spent — paper
  * Sec. 4, "Figures of Merit"). Multi-run orchestration — including the
- * headline Fig. 7 comparison — lives in runner/engine.hpp, which fans
- * jobs out over a thread pool; a Harness is safely shareable across
- * those concurrent jobs.
+ * headline Fig. 7 comparison — lives in runner/engine.hpp, which runs
+ * a plan's jobs on threads of its own; a Harness is safely shareable
+ * across those concurrent jobs.
  */
 #pragma once
 

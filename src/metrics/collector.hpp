@@ -350,12 +350,6 @@ class Collector
         return warmRecovery_.count() ? warmRecovery_.mean() : 0.0;
     }
 
-    double
-    maxWarmRecoverySeconds() const
-    {
-        return warmRecovery_.count() ? warmRecovery_.max() : 0.0;
-    }
-
     // --- aggregates ----------------------------------------------------
 
     std::size_t invocations() const { return records_.size(); }
@@ -384,11 +378,6 @@ class Collector
     serviceQuantile(double q) const
     {
         return serviceDigest_.quantile(q);
-    }
-
-    const PercentileDigest& serviceDigest() const
-    {
-        return serviceDigest_;
     }
 
     const std::vector<InvocationRecord>& records() const

@@ -228,9 +228,10 @@ Profiler::reset()
     std::lock_guard<std::mutex> lock(global.mutex);
     global.retired = Node();
     for (Tree* tree : global.live) {
-        // Live trees may belong to idle pool threads; resetting their
-        // structure would race with a re-entering scope, so only a
-        // quiescent caller may reset (same contract as report()).
+        // Live trees may belong to threads that are still running;
+        // resetting their structure would race with a re-entering
+        // scope, so only a quiescent caller may reset (same contract
+        // as report()).
         tree->root.children.clear();
         tree->root.calls = 0;
         tree->root.seconds = 0.0;

@@ -14,14 +14,15 @@
  *    and the table prints the projected total, so "with all sinks
  *    disabled" regressions can be bounded from the enabled run.
  *  - Threads register their tree on first use and merge it into a
- *    retired aggregate at thread exit, so the phases of a destroyed
- *    RunEngine's pool workers survive into later reports.
+ *    retired aggregate at thread exit. RunEngine's threads exit when
+ *    their plan is done, so a plan's phases survive into every later
+ *    report.
  *  - Phase names must have static storage duration (string literals):
  *    nodes keep the pointer.
  *
  * report() must only be called from quiescent points (after
- * RunEngine::run returned / worker threads joined); the engine's
- * completion synchronization makes prior scope updates visible.
+ * RunEngine::run returned, which joins the plan's threads); the join
+ * makes their scope updates visible.
  */
 #pragma once
 

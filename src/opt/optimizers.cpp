@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/logging.hpp"
-#include "common/parallel.hpp"
 #include "obs/profiler.hpp"
 
 namespace codecrunch::opt {
@@ -633,10 +632,9 @@ SreOptimizer::optimizeWithCounts(const SeparableObjective& objective,
         }
 
         // Disjoint sub-problems, each optimized against a frozen
-        // snapshot of this round's starting assignment — in parallel
-        // when a pool drives this thread (the paper runs sub-problems
-        // in parallel). The per-sub-problem changes are then merged
-        // (the paper's recombination into the original space).
+        // snapshot of this round's starting assignment, so their
+        // order cannot matter. The per-sub-problem changes are then
+        // merged (the paper's recombination into the original space).
         std::vector<std::vector<std::size_t>> subproblems;
         for (std::size_t s = 0; s < numSub; ++s) {
             const std::size_t beginIdx = s * perSub;
@@ -661,24 +659,12 @@ SreOptimizer::optimizeWithCounts(const SeparableObjective& objective,
                                     std::max<std::size_t>(
                                         1, subproblems.size())));
         std::vector<SubproblemResult> results(subproblems.size());
-        auto solve = [&](std::size_t s) {
-            results[s] = descendSubproblem(
-                objective, snapshot, subproblems[s], baseService,
-                baseCost, budgetShare, config_.innerRounds);
-        };
         {
-            // Parent scope on the calling thread; each pool worker
-            // records its own sre.subproblem tree.
             CC_PHASE("sre.subproblems");
-            // Inside a runner job, fan out on the runner's own pool so
-            // --threads bounds total process concurrency (the executor
-            // lets this thread claim sub-problems itself, so this
-            // cannot deadlock the pool). Elsewhere, run them in order.
-            if (ParallelExecutor* executor = currentParallelExecutor()) {
-                executor->parallelFor(subproblems.size(), solve);
-            } else {
-                for (std::size_t s = 0; s < subproblems.size(); ++s)
-                    solve(s);
+            for (std::size_t s = 0; s < subproblems.size(); ++s) {
+                results[s] = descendSubproblem(
+                    objective, snapshot, subproblems[s], baseService,
+                    baseCost, budgetShare, config_.innerRounds);
             }
         }
 

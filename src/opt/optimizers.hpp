@@ -268,12 +268,12 @@ struct SreConfig {
  * optimizer while everything else stays fixed, recombine, and repeat
  * for a few rounds.
  *
- * The paper optimizes sub-problems in parallel. Here they run on the
- * current ParallelExecutor (common/parallel.hpp) when one is installed,
- * which every RunEngine job has, and otherwise in order on the calling
- * thread. Sub-problems are disjoint and each works against a frozen
- * snapshot of the round's starting assignment, so the result is the
- * same either way.
+ * The paper optimizes sub-problems in parallel. Here they run in
+ * order on the calling thread: they are disjoint and each works
+ * against a frozen snapshot of the round's starting assignment, so
+ * the order cannot change the result, and a round's sub-problems are
+ * too small to repay handing them to other threads (DESIGN.md §8).
+ * The simulator's parallelism is a plan's jobs (runner/engine.hpp).
  */
 class SreOptimizer : public Optimizer
 {

@@ -108,6 +108,19 @@ class Enhanced : public Policy
         inner_->onTick(now);
     }
 
+    void
+    onNodeCrash(NodeId node, const std::vector<FunctionId>& lostFunctions,
+                Seconds now) override
+    {
+        inner_->onNodeCrash(node, lostFunctions, now);
+    }
+
+    void
+    onNodeRecover(NodeId node, Seconds now) override
+    {
+        inner_->onNodeRecover(node, now);
+    }
+
     std::optional<cluster::ContainerId>
     pickVictim(NodeId node, MegaBytes neededMb) override
     {

@@ -134,8 +134,6 @@ Oracle::onTick(Seconds now)
     // budget instead of being throttled.
     const Dollars spentNow =
         context_->clusterState().keepAliveSpend();
-    lastSpendSeen_ = spentNow;
-    ++ticks_;
     const Dollars allocated = config_.budgetRatePerSecond * now;
     const double surplus = spentNow - allocated;
     const double scale =

@@ -71,12 +71,6 @@ class Oracle : public Policy
     mutable std::vector<std::size_t> cursor_;
     /** Adaptive cost-effectiveness threshold (knapsack dual, s/$). */
     double lambda_ = 1e4;
-    /** Last cumulative spend seen at a tick. */
-    Dollars lastSpendSeen_ = 0.0;
-    /** Smoothed actual spend rate ($/s). */
-    double spendRateEwma_ = 0.0;
-    /** Ticks seen (allocation bookkeeping). */
-    std::size_t ticks_ = 0;
     /** Function whose keep decision is currently being applied. */
     FunctionId lastFinished_ = kInvalidFunction;
 };

@@ -2,8 +2,8 @@
  * @file
  * Pluggable job-execution backend for RunEngine.
  *
- * The engine's default path executes jobs on its local thread pool
- * with typed results. A backend replaces that path with a
+ * The engine's default path executes jobs on its own threads with
+ * typed results. A backend replaces that path with a
  * serialized one: the engine lowers each job to (label, seed, thunk →
  * encoded bytes) and hands the whole plan over; the backend returns
  * one outcome per job, in plan order. The dist/ subsystem provides

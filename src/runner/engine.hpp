@@ -1,8 +1,8 @@
 /**
  * @file
  * RunPlan/RunEngine: express an experiment as a set of labelled jobs
- * and execute them concurrently on a FIFO thread pool while staying
- * bit-identical to serial execution.
+ * and execute them concurrently on the engine's own threads while
+ * staying bit-identical to serial execution.
  *
  * The determinism contract:
  *  - Every job carries its own seed, fixed at plan-build time. Seeds
@@ -21,17 +21,17 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -43,7 +43,6 @@
 #include "runner/backend.hpp"
 #include "runner/progress.hpp"
 #include "runner/serial.hpp"
-#include "runner/thread_pool.hpp"
 
 namespace codecrunch::runner {
 
@@ -114,12 +113,15 @@ class Plan
 };
 
 /**
- * Executes plans on a FIFO thread pool (jobs start in plan order);
- * results come back in plan order and the first job exception (in plan
- * order) is rethrown after every job has settled.
+ * Executes each plan on min(threads, jobs) threads of its own that
+ * claim jobs in plan order and exit when the plan is done; results
+ * come back in plan order and the first job exception (in plan order)
+ * is rethrown after every job has settled. These threads are the
+ * simulator's only parallelism (SRE solves its sub-problems in order
+ * on the job's thread), so `threads` bounds the whole process.
  */
 struct RunEngineOptions {
-    /** Worker threads; 0 means hardware concurrency. */
+    /** Threads per plan; 0 means hardware concurrency. */
     std::size_t threads = 0;
     /** Optional progress receiver (not owned). */
     ProgressSink* progress = nullptr;
@@ -130,11 +132,11 @@ struct RunEngineOptions {
     obs::TraceCollection* trace = nullptr;
     /**
      * Optional job-execution backend (not owned). Null runs jobs on
-     * the local pool with typed results (the default). Set, every plan
-     * is lowered to serialized jobs and executed by the backend — the
-     * distributed master/worker modes plug in here. Requires the
-     * plan's result type to have a JobCodec (serial.hpp); trace
-     * collection is unsupported in backend mode.
+     * the engine's own threads with typed results (the default).
+     * Set, every plan is lowered to serialized jobs and executed by
+     * the backend — the distributed master/worker modes plug in
+     * here. Requires the plan's result type to have a JobCodec
+     * (serial.hpp); trace collection is unsupported in backend mode.
      */
     ExecBackend* backend = nullptr;
 };
@@ -145,7 +147,11 @@ class RunEngine
     using Options = RunEngineOptions;
 
     explicit RunEngine(Options options = Options())
-        : options_(options), pool_(options.threads)
+        : options_(options),
+          threads_(options.threads > 0
+                       ? options.threads
+                       : std::max<std::size_t>(
+                             1, std::thread::hardware_concurrency()))
     {
         auto& registry = obs::Registry::global();
         statPlans_ = &registry.counter("wall.runner.plans",
@@ -162,7 +168,8 @@ class RunEngine
             obs::StatScope::Wall);
     }
 
-    std::size_t threads() const { return pool_.threadCount(); }
+    /** Resolved thread count (options.threads, or the core count). */
+    std::size_t threads() const { return threads_; }
 
     /** Execute every job of `plan`; results in plan order. */
     template <typename R>
@@ -177,28 +184,31 @@ class RunEngine
             sink->planStarted(plan.name(), jobs.size());
         statPlans_->add(1);
 
+        // Buffers are allocated here, in plan order, before any job
+        // runs, so they exist in the same order whichever thread fills
+        // one first (trace determinism contract).
+        std::vector<obs::TraceBuffer*> buffers(jobs.size(), nullptr);
+        if (options_.trace) {
+            for (std::size_t i = 0; i < jobs.size(); ++i)
+                buffers[i] = options_.trace->add(plan.name() + "/" +
+                                                 jobs[i].label);
+        }
+
         std::vector<std::optional<R>> slots(jobs.size());
         std::vector<std::exception_ptr> errors(jobs.size());
-        std::atomic<std::size_t> remaining{jobs.size()};
-        std::mutex doneMutex;
-        std::condition_variable doneCv;
-
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            // Buffer allocation happens here, on the submitting
-            // thread, so buffers exist in plan order no matter which
-            // worker fills them first (trace determinism contract).
-            obs::TraceBuffer* buffer = options_.trace
-                ? options_.trace->add(plan.name() + "/" +
-                                      jobs[i].label)
-                : nullptr;
-            pool_.submit([&, i, sink, buffer] {
+        // Each thread claims the next unstarted job, so jobs start in
+        // plan order.
+        std::atomic<std::size_t> next{0};
+        const auto runJobs = [&] {
+            for (std::size_t i = next.fetch_add(1); i < jobs.size();
+                 i = next.fetch_add(1)) {
                 const Job<R>& job = jobs[i];
                 if (sink)
                     sink->jobStarted(i, job.label, job.simDuration);
                 statJobs_->add(1);
                 JobContext context;
                 context.seed = job.seed;
-                context.trace = buffer;
+                context.trace = buffers[i];
                 if (sink) {
                     context.heartbeat = [sink, i](Seconds simNow) {
                         sink->jobHeartbeat(i, simNow);
@@ -219,17 +229,25 @@ class RunEngine
                         .count());
                 if (sink)
                     sink->jobFinished(i, !errors[i]);
-                if (remaining.fetch_sub(1) == 1) {
-                    std::lock_guard<std::mutex> lock(doneMutex);
-                    doneCv.notify_all();
-                }
-            });
+            }
+        };
+        const std::size_t threadCount = std::min(threads_, jobs.size());
+        std::vector<std::thread> threads;
+        threads.reserve(threadCount);
+        try {
+            while (threads.size() < threadCount)
+                threads.emplace_back(runJobs);
+        } catch (...) {
+            // A thread that failed to start must not leave the ones
+            // already running unjoined; they finish the jobs they
+            // claimed and start no more.
+            next.store(jobs.size());
+            for (auto& thread : threads)
+                thread.join();
+            throw;
         }
-        {
-            std::unique_lock<std::mutex> lock(doneMutex);
-            doneCv.wait(lock,
-                        [&] { return remaining.load() == 0; });
-        }
+        for (auto& thread : threads)
+            thread.join();
         if (sink)
             sink->planFinished();
 
@@ -305,7 +323,7 @@ class RunEngine
     }
 
     Options options_;
-    ThreadPool pool_;
+    std::size_t threads_;
     // Wall-scope instruments (never part of deterministic reports).
     obs::Counter* statPlans_ = nullptr;
     obs::Counter* statJobs_ = nullptr;

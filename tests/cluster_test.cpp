@@ -166,16 +166,15 @@ TEST(Cluster, AddWarmPanicsBeyondHeadroom)
     EXPECT_DEATH(cluster.addWarm(0, 2, 1, false, 0.0), "headroom");
 }
 
-TEST(Cluster, PickNodeForWarmHonorsCap)
+TEST(Cluster, WarmHeadroomHonorsCap)
 {
     Cluster cluster(tinyConfig());
     cluster.addWarm(0, 1, 500, false, 0.0);
     cluster.addWarm(1, 2, 400, false, 0.0);
-    const auto node = cluster.pickNodeForWarm(NodeType::X86, 150);
-    EXPECT_FALSE(node.has_value()); // 0 is full, 1 has 100 headroom
-    const auto small = cluster.pickNodeForWarm(NodeType::X86, 80);
-    ASSERT_TRUE(small.has_value());
-    EXPECT_EQ(*small, 1u);
+    // The keep-alive cap is 500 MB a node: 0 is full and 1 has 100 MB
+    // left, so no x86 node fits 150 MB and only 1 fits 80 MB.
+    EXPECT_DOUBLE_EQ(cluster.warmHeadroomMb(0), 0.0);
+    EXPECT_DOUBLE_EQ(cluster.warmHeadroomMb(1), 100.0);
 }
 
 TEST(Cluster, ResizeWarmShrinksMemory)
@@ -444,10 +443,6 @@ TEST(ClusterDomains, CooldownDeprioritizesButDoesNotExclude)
         cluster.pickNodeForExec(NodeType::X86, 100, 150.0);
     ASSERT_TRUE(exec.has_value());
     EXPECT_EQ(cluster.domainOf(*exec), 1);
-    const auto warm =
-        cluster.pickNodeForWarm(NodeType::X86, 100, 150.0);
-    ASSERT_TRUE(warm.has_value());
-    EXPECT_EQ(cluster.domainOf(*warm), 1);
 
     // ...but a cooling domain is still used when nothing else fits.
     for (NodeId n : {1u, 3u}) {

@@ -7,11 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <set>
-#include <tuple>
 
 #include "core/budget.hpp"
-#include "core/choice_space.hpp"
 #include "core/codecrunch.hpp"
 #include "core/interval_objective.hpp"
 #include "core/observed_stats.hpp"
@@ -312,63 +309,6 @@ TEST(IntervalObjective, UnknownPestGetsMildPrior)
         2.0 + (1.0 - 0.3 * (1.0 - std::exp(-3600.0 / 900.0))) * 3.0;
     EXPECT_NEAR(objective.term(0, choiceWith(top)).first, expected,
                 1e-6);
-}
-
-// --- ChoiceSpaceGenerator ---------------------------------------------------
-
-TEST(ChoiceSpace, SpaceSizeGrowsExponentially)
-{
-    EXPECT_NEAR(ChoiceSpaceGenerator::log10SpaceSize(1),
-                std::log10(64.0), 1e-9);
-    EXPECT_NEAR(ChoiceSpaceGenerator::log10SpaceSize(1000),
-                1000.0 * std::log10(64.0), 1e-6);
-}
-
-TEST(ChoiceSpace, DecodeCoversEveryChoiceOnce)
-{
-    std::set<std::tuple<bool, int, int, bool>> seen;
-    for (std::size_t i = 0; i < opt::choicesPerFunction(); ++i) {
-        const auto c = ChoiceSpaceGenerator::decode(i);
-        seen.insert({c.compress, static_cast<int>(c.arch),
-                     c.keepAliveLevel, c.snapshot});
-    }
-    EXPECT_EQ(seen.size(), opt::choicesPerFunction());
-}
-
-TEST(ChoiceSpace, SamplesAreFeasible)
-{
-    std::vector<FunctionEstimate> estimates(6, basicEstimate());
-    IntervalObjective objective(std::move(estimates), kRates,
-                                5e-4);
-    ChoiceSpaceGenerator space(objective);
-    Rng rng(3);
-    for (const auto& assignment : space.sample(50, rng)) {
-        EXPECT_TRUE(space.feasible(assignment));
-        EXPECT_EQ(assignment.size(), 6u);
-    }
-}
-
-TEST(ChoiceSpace, EnumerationMatchesFeasiblePredicate)
-{
-    std::vector<FunctionEstimate> estimates(2, basicEstimate());
-    IntervalObjective objective(std::move(estimates), kRates, 1e-3);
-    ChoiceSpaceGenerator space(objective);
-    const auto feasibleSet = space.enumerate();
-    EXPECT_GT(feasibleSet.size(), 0u);
-    EXPECT_LT(feasibleSet.size(), 64u * 64u); // budget excludes some
-    for (const auto& assignment : feasibleSet)
-        EXPECT_TRUE(space.feasible(assignment));
-    // Zero keep-alive everywhere costs nothing: always a member.
-    opt::Assignment zero(2, opt::Choice{false, NodeType::X86, 0});
-    EXPECT_TRUE(space.feasible(zero));
-}
-
-TEST(ChoiceSpace, EnumerationPanicsOnLargeProblems)
-{
-    std::vector<FunctionEstimate> estimates(8, basicEstimate());
-    IntervalObjective objective(std::move(estimates), kRates, 1.0);
-    ChoiceSpaceGenerator space(objective);
-    EXPECT_DEATH(space.enumerate(), "cap");
 }
 
 // --- ObservedStats ----------------------------------------------------------------

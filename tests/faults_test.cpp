@@ -208,8 +208,6 @@ TEST(ClusterFaults, MarkDownHidesNodeFromPlacement)
     EXPECT_EQ(cluster.downNodes(), 1);
     EXPECT_FALSE(
         cluster.pickNodeForExec(NodeType::X86, 100).has_value());
-    EXPECT_FALSE(
-        cluster.pickNodeForWarm(NodeType::X86, 100).has_value());
     EXPECT_DOUBLE_EQ(cluster.warmHeadroomMb(0), 0.0);
 
     cluster.recover(0);

@@ -13,11 +13,9 @@
 #include <cstdint>
 #include <span>
 
-#include "common/parallel.hpp"
 #include "legacy_fft.hpp"
 #include "opt/fft.hpp"
 #include "opt/optimizers.hpp"
-#include "runner/thread_pool.hpp"
 
 using namespace codecrunch;
 using namespace codecrunch::opt;
@@ -572,30 +570,4 @@ TEST(Optimizers, RandomAssignmentIsInGrid)
         EXPECT_LT(static_cast<std::size_t>(choice.keepAliveLevel),
                   keepAliveLevels().size());
     }
-}
-
-TEST(Optimizers, SreOnSharedRunnerPoolMatchesSequential)
-{
-    // When an executor is installed (as runner pool workers do), SRE
-    // fans its sub-problems out on that shared pool; without one it
-    // runs them in order on the caller. Sub-problems are disjoint and
-    // work against a frozen snapshot, so both must be bit-identical.
-    SyntheticObjective objective(90, 0.5, 11);
-    const Assignment start(90, Choice{});
-    Rng rngA(3), rngB(3);
-    runner::ThreadPool pool(3);
-    OptimizerResult pooled;
-    {
-        ScopedParallelExecutor guard(&pool);
-        pooled = SreOptimizer().optimize(objective, start, rngA);
-    }
-    ASSERT_EQ(currentParallelExecutor(), nullptr);
-    const auto serialResult =
-        SreOptimizer().optimize(objective, start, rngB);
-    EXPECT_DOUBLE_EQ(pooled.score, serialResult.score);
-    ASSERT_EQ(pooled.assignment.size(),
-              serialResult.assignment.size());
-    for (std::size_t i = 0; i < pooled.assignment.size(); ++i)
-        EXPECT_TRUE(pooled.assignment[i] ==
-                    serialResult.assignment[i]);
 }

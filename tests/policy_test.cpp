@@ -558,3 +558,52 @@ TEST(Enhanced, DisabledFlagsAreTransparent)
     EXPECT_FALSE(decision.compress);
     EXPECT_FALSE(decision.warmupLocation.has_value());
 }
+
+namespace {
+
+/** Inner policy that records the fault hooks it receives. */
+class FaultRecorder final : public FixedKeepAlive
+{
+  public:
+    void
+    onNodeCrash(NodeId node, const std::vector<FunctionId>& lostFunctions,
+                Seconds now) override
+    {
+        crashes.push_back({node, lostFunctions, now});
+    }
+
+    void
+    onNodeRecover(NodeId node, Seconds now) override
+    {
+        recoveries.push_back({node, now});
+    }
+
+    struct Crash {
+        NodeId node;
+        std::vector<FunctionId> lost;
+        Seconds now;
+    };
+    std::vector<Crash> crashes;
+    std::vector<std::pair<NodeId, Seconds>> recoveries;
+};
+
+} // namespace
+
+TEST(Enhanced, ForwardsFaultHooksToWrappedPolicy)
+{
+    FakeContext context;
+    auto inner = std::make_unique<FaultRecorder>();
+    FaultRecorder& recorder = *inner;
+    Enhanced policy(std::move(inner));
+    policy.bind(context);
+    policy.onNodeCrash(2, {0, 3, 3}, 120.0);
+    policy.onNodeRecover(2, 300.0);
+    ASSERT_EQ(recorder.crashes.size(), 1u);
+    EXPECT_EQ(recorder.crashes[0].node, 2u);
+    EXPECT_EQ(recorder.crashes[0].lost,
+              (std::vector<FunctionId>{0, 3, 3}));
+    EXPECT_DOUBLE_EQ(recorder.crashes[0].now, 120.0);
+    ASSERT_EQ(recorder.recoveries.size(), 1u);
+    EXPECT_EQ(recorder.recoveries[0].first, 2u);
+    EXPECT_DOUBLE_EQ(recorder.recoveries[0].second, 300.0);
+}

@@ -1,20 +1,17 @@
 /**
  * @file
- * Tests for the parallel experiment runner: thread-pool behaviour
- * (stress, submission order, shutdown draining, parallelFor),
- * deterministic seeding, plan-order result collection, and — the core
- * contract — bit-identical results between multi-threaded and serial
- * execution of the same plan.
+ * Tests for the parallel experiment runner: the engine's own threads
+ * (plan-order starts, the thread bound, plans smaller than the thread
+ * count), deterministic seeding, plan-order result collection, and —
+ * the core contract — bit-identical results between multi-threaded
+ * and serial execution of the same plan.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <fstream>
-#include <future>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -115,75 +112,6 @@ class CountingSink final : public ProgressSink
 
 } // namespace
 
-TEST(ThreadPool, RunsManyTinyJobs)
-{
-    std::atomic<int> counter{0};
-    {
-        ThreadPool pool(4);
-        EXPECT_EQ(pool.threadCount(), 4u);
-        for (int i = 0; i < 10000; ++i)
-            pool.submit([&counter] { ++counter; });
-    } // destructor drains and joins
-    EXPECT_EQ(counter.load(), 10000);
-}
-
-TEST(ThreadPool, NestedSubmissionsComplete)
-{
-    std::atomic<int> counter{0};
-    {
-        ThreadPool pool(3);
-        for (int i = 0; i < 50; ++i) {
-            pool.submit([&pool, &counter] {
-                for (int j = 0; j < 20; ++j)
-                    pool.submit([&counter] { ++counter; });
-            });
-        }
-        // Give outer tasks a moment so inner ones are queued before
-        // shutdown begins; shutdown must then drain them all.
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    EXPECT_EQ(counter.load(), 50 * 20);
-}
-
-TEST(ThreadPool, ShutdownDrainsQueuedTasks)
-{
-    std::atomic<int> counter{0};
-    {
-        ThreadPool pool(1);
-        // Head task blocks the single worker so the rest are still
-        // queued when the destructor runs.
-        pool.submit([] {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(30));
-        });
-        for (int i = 0; i < 100; ++i)
-            pool.submit([&counter] { ++counter; });
-    }
-    EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, TasksStartInSubmissionOrder)
-{
-    // The single worker is held until every task is queued; a FIFO
-    // queue must then run them in exactly the order they were
-    // submitted (RunEngine relies on it to start jobs in plan order).
-    constexpr int kTasks = 64;
-    std::promise<void> release;
-    const std::shared_future<void> released =
-        release.get_future().share();
-    std::vector<int> order;
-    {
-        ThreadPool pool(1);
-        pool.submit([released] { released.wait(); });
-        for (int i = 0; i < kTasks; ++i)
-            pool.submit([&order, i] { order.push_back(i); });
-        release.set_value();
-    } // drains the queue, then joins
-    ASSERT_EQ(order.size(), static_cast<std::size_t>(kTasks));
-    for (int i = 0; i < kTasks; ++i)
-        EXPECT_EQ(order[i], i);
-}
-
 TEST(SeedForKey, StableAndKeyDependent)
 {
     const std::uint64_t a = seedForKey("fig13/CodeCrunch@0.25x");
@@ -211,6 +139,88 @@ TEST(RunEngine, ResultsComeBackInPlanOrder)
     ASSERT_EQ(results.size(), 8u);
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(results[i], i);
+}
+
+TEST(RunEngine, JobsStartInPlanOrder)
+{
+    // One thread runs the jobs back to back, so the order they start
+    // in is the order they are claimed: plan order.
+    RunEngine engine({1, nullptr});
+    constexpr int kJobs = 64;
+    std::vector<int> order;
+    Plan<int> plan("start-order");
+    for (int i = 0; i < kJobs; ++i) {
+        plan.add("job" + std::to_string(i), 0,
+                 [&order, i](const JobContext&) {
+                     order.push_back(i);
+                     return i;
+                 });
+    }
+    engine.run(plan);
+    ASSERT_EQ(order.size(), static_cast<std::size_t>(kJobs));
+    for (int i = 0; i < kJobs; ++i)
+        EXPECT_EQ(order[i], i);
+}
+
+TEST(RunEngine, NeverRunsMoreJobsThanThreads)
+{
+    RunEngine engine({3, nullptr});
+    std::atomic<int> inFlight{0};
+    std::atomic<int> peak{0};
+    Plan<int> plan("bounded");
+    for (int i = 0; i < 16; ++i) {
+        plan.add("job" + std::to_string(i), 0,
+                 [&, i](const JobContext&) {
+                     const int now = inFlight.fetch_add(1) + 1;
+                     int seen = peak.load();
+                     while (now > seen &&
+                            !peak.compare_exchange_weak(seen, now)) {
+                     }
+                     std::this_thread::sleep_for(
+                         std::chrono::milliseconds(2));
+                     inFlight.fetch_sub(1);
+                     return i;
+                 });
+    }
+    const auto results = engine.run(plan);
+    EXPECT_LE(peak.load(), 3);
+    ASSERT_EQ(results.size(), 16u);
+    for (int i = 0; i < 16; ++i)
+        EXPECT_EQ(results[i], i);
+}
+
+TEST(RunEngine, MoreThreadsThanJobs)
+{
+    // Three jobs on eight threads all run at once: each waits until
+    // every job has started.
+    RunEngine engine({8, nullptr});
+    EXPECT_EQ(engine.threads(), 8u);
+    std::atomic<int> started{0};
+    Plan<int> plan("small");
+    for (int i = 0; i < 3; ++i) {
+        plan.add("job" + std::to_string(i), 0, [&](const JobContext&) {
+            started.fetch_add(1);
+            const auto deadline =
+                std::chrono::steady_clock::now() + std::chrono::seconds(30);
+            while (started.load() < 3 &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+            return started.load();
+        });
+    }
+    EXPECT_EQ(engine.run(plan), (std::vector<int>{3, 3, 3}));
+}
+
+TEST(RunEngine, EmptyPlanReturnsNothing)
+{
+    CountingSink sink;
+    RunEngine engine({0, &sink});
+    EXPECT_GE(engine.threads(), 1u); // 0 resolves to the core count
+    const auto results = engine.run(Plan<int>("empty"));
+    EXPECT_TRUE(results.empty());
+    EXPECT_EQ(sink.planJobs, 0u);
+    EXPECT_EQ(sink.started.load(), 0u);
+    EXPECT_EQ(sink.plansFinished.load(), 1u);
 }
 
 TEST(RunEngine, JobExceptionIsRethrownAfterPlanSettles)
@@ -440,95 +450,4 @@ TEST(ReportDeathTest, UnopenablePathIsFatal)
     std::filesystem::create_directories(dir);
     EXPECT_EXIT(writeBenchReport(dir, meta, {}),
                 ::testing::ExitedWithCode(1), "report: cannot rename");
-}
-
-// --- Concurrent submission, wakeup and parallelFor ---------------------
-
-TEST(ThreadPool, SubmitContentionFromManyThreads)
-{
-    // Many external threads hammering submit() concurrently must
-    // neither lose tasks nor deadlock, whether workers are parked or
-    // busy.
-    ThreadPool pool(4);
-    constexpr std::size_t kSubmitters = 8;
-    constexpr std::size_t kPerSubmitter = 2000;
-    std::atomic<std::size_t> ran{0};
-    std::mutex doneMutex;
-    std::condition_variable doneCv;
-    std::vector<std::thread> submitters;
-    for (std::size_t t = 0; t < kSubmitters; ++t) {
-        submitters.emplace_back([&] {
-            for (std::size_t i = 0; i < kPerSubmitter; ++i) {
-                pool.submit([&] {
-                    if (ran.fetch_add(1) + 1 ==
-                        kSubmitters * kPerSubmitter) {
-                        std::lock_guard<std::mutex> lock(doneMutex);
-                        doneCv.notify_all();
-                    }
-                });
-            }
-        });
-    }
-    for (auto& thread : submitters)
-        thread.join();
-    std::unique_lock<std::mutex> lock(doneMutex);
-    ASSERT_TRUE(doneCv.wait_for(lock, std::chrono::seconds(60), [&] {
-        return ran.load() == kSubmitters * kPerSubmitter;
-    }));
-}
-
-TEST(ThreadPool, IdleWorkersParkAndWakeOnSubmit)
-{
-    ThreadPool pool(3);
-    // Give the workers time to go idle and park on the condition
-    // variable; the submit below must then wake one of them.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    std::atomic<bool> ran{false};
-    pool.submit([&] { ran.store(true); });
-    const auto runDeadline = std::chrono::steady_clock::now() +
-                             std::chrono::seconds(10);
-    while (!ran.load() &&
-           std::chrono::steady_clock::now() < runDeadline)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPool, ParallelForRunsEveryIndexOnce)
-{
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(257);
-    pool.parallelFor(hits.size(), [&](std::size_t i) {
-        hits[i].fetch_add(1);
-    });
-    for (const auto& hit : hits)
-        EXPECT_EQ(hit.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForFromInsidePoolTaskDoesNotDeadlock)
-{
-    // The SRE optimizer calls parallelFor from inside a runner job;
-    // even on a 1-thread pool the caller claims all items itself.
-    std::atomic<int> total{0};
-    std::promise<int> result;
-    ThreadPool pool(1);
-    pool.submit([&] {
-        ParallelExecutor* executor = currentParallelExecutor();
-        EXPECT_EQ(executor, &pool);
-        executor->parallelFor(
-            64, [&](std::size_t) { total.fetch_add(1); });
-        result.set_value(total.load());
-    });
-    EXPECT_EQ(result.get_future().get(), 64);
-}
-
-TEST(ThreadPool, ParallelForPropagatesExceptions)
-{
-    ThreadPool pool(4);
-    EXPECT_THROW(pool.parallelFor(32,
-                                  [&](std::size_t i) {
-                                      if (i == 17)
-                                          throw std::runtime_error(
-                                              "boom");
-                                  }),
-                 std::runtime_error);
 }
