@@ -1,7 +1,7 @@
 /**
  * @file
  * Simulation-core scaling bench: how far the rebuilt core (calendar
- * event queue, arena-pooled in-flight records) pushes catalog and
+ * event queue, one in-flight entry per core) pushes catalog and
  * cluster size.
  *
  * Three tiers share one grid runner:
@@ -181,10 +181,10 @@ main(int argc, char** argv)
         }
         table.print();
     }
-    paperNote("the calendar queue + arena core keeps per-event "
-              "cost flat as functions x nodes grow; events/sec, wall "
-              "and RSS are hardware-dependent, so they stay out of "
-              "the byte-compared golden artifact");
+    paperNote("the calendar queue + per-core in-flight table keeps "
+              "per-event cost flat as functions x nodes grow; "
+              "events/sec, wall and RSS are hardware-dependent, so "
+              "they stay out of the byte-compared golden artifact");
 
     // ---- strong-scaling pass (threads axis, local full-scale only) -
     std::vector<std::pair<std::size_t, double>> threadWall;

@@ -7,16 +7,23 @@
  * and FaasCache ~21%, because prediction-based techniques must model
  * every function rather than only the recently invoked ones.
  *
- * Runs on the RunEngine: per population size, SitW runs first (it is
- * both a reported run and the budget dependency for CodeCrunch), then
- * the remaining policies execute concurrently. Simulated metrics are
- * bit-identical to the old serial loop; the decision wall-clock stays
- * a console-only, hardware-dependent observation and is deliberately
- * absent from the JSON artifact.
+ * Runs on the RunEngine, one single-job plan at a time: per
+ * population size, SitW first (it is both a reported run and the
+ * budget dependency for CodeCrunch), then FaasCache, CodeCrunch and
+ * IceBreaker. The table reports decision wall-clock, and jobs that
+ * share a plan share its threads, so each policy's figure would also
+ * count its siblings' CPU contention (one build's CodeCrunch cost at
+ * 1000 functions read anywhere from 3.2 to 15.3 us that way). A
+ * single-job plan runs on one thread with nothing beside it. The
+ * simulated metrics do not depend on how jobs are grouped into plans,
+ * so the JSON artifact is unchanged by it; the decision wall-clock
+ * stays a console-only, hardware-dependent observation and is
+ * deliberately absent from the JSON artifact.
  */
 #include "bench/bench_common.hpp"
 
 #include <memory>
+#include <utility>
 
 using namespace codecrunch;
 using namespace codecrunch::bench;
@@ -46,48 +53,40 @@ main(int argc, char** argv)
                std::to_string(sizes[i]);
     };
 
-    // Stage 1: SitW per size — a reported run whose spend is also the
-    // budget CodeCrunch receives at that size.
-    runner::SimPlan budgetPlan("tab_overhead/budgets");
+    // One job per plan, so no other job competes for the CPU while a
+    // policy's decisions are timed.
+    const auto runAlone = [&](std::size_t i, const char* policy,
+                              runner::PolicyFactory factory) {
+        const std::string label = sizeLabel(i, policy);
+        runner::SimPlan plan("tab_overhead/" + label);
+        runner::addSimJob(plan, label, *harnesses[i], std::move(factory));
+        return PolicyRun{label, std::move(bench.engine.run(plan)[0])};
+    };
+    std::vector<PolicyRun> runs; // four per size, in size order
     for (std::size_t i = 0; i < sizes.size(); ++i) {
-        runner::addSimJob(budgetPlan, sizeLabel(i, "SitW"),
-                          *harnesses[i], [] {
-                              return std::make_unique<policy::SitW>();
-                          });
-    }
-    const auto sitwResults = bench.engine.run(budgetPlan);
-    for (std::size_t i = 0; i < sizes.size(); ++i)
-        harnesses[i]->primeBudgetRate(sitwResults[i]);
-
-    // Stage 2: the remaining policies at every size, concurrently.
-    runner::SimPlan plan("tab_overhead/policies");
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-        runner::addSimJob(plan, sizeLabel(i, "FaasCache"),
-                          *harnesses[i], [] {
-                              return std::make_unique<
-                                  policy::FaasCache>();
-                          });
+        // SitW's spend is also the budget CodeCrunch gets at this size.
+        runs.push_back(runAlone(i, "SitW", [] {
+            return std::make_unique<policy::SitW>();
+        }));
+        harnesses[i]->primeBudgetRate(runs.back().result);
+        runs.push_back(runAlone(i, "FaasCache", [] {
+            return std::make_unique<policy::FaasCache>();
+        }));
         const auto crunchConfig = harnesses[i]->codecrunchConfig();
-        runner::addSimJob(plan, sizeLabel(i, "CodeCrunch"),
-                          *harnesses[i], [crunchConfig] {
-                              return std::make_unique<
-                                  core::CodeCrunch>(crunchConfig);
-                          });
-        runner::addSimJob(plan, sizeLabel(i, "IceBreaker"),
-                          *harnesses[i], [] {
-                              return std::make_unique<
-                                  policy::IceBreaker>();
-                          });
+        runs.push_back(runAlone(i, "CodeCrunch", [crunchConfig] {
+            return std::make_unique<core::CodeCrunch>(crunchConfig);
+        }));
+        runs.push_back(runAlone(i, "IceBreaker", [] {
+            return std::make_unique<policy::IceBreaker>();
+        }));
     }
-    const auto results = bench.engine.run(plan);
 
     printBanner("Decision-making overhead vs number of functions");
     ConsoleTable table;
     table.header({"functions", "policy", "decision wall (s)",
                   "sim service (s)", "overhead ratio"});
-    std::vector<PolicyRun> runs;
-    const auto addRow = [&](std::size_t i, const std::string& name,
-                            const RunResult& result) {
+    for (std::size_t k = 0; k < runs.size(); ++k) {
+        const auto& [name, result] = runs[k];
         // Decision overhead relative to the wall-clock the simulation
         // spends on the same decisions' scope: we report the ratio of
         // decision time per invocation to mean service time scaled to
@@ -107,20 +106,11 @@ main(int argc, char** argv)
             .add(static_cast<std::uint64_t>(
                 result.decisionWallSeconds * 1e6 + 0.5));
         table.addRow(
-            sizes[i], name,
+            sizes[k / 4], name,
             ConsoleTable::num(result.decisionWallSeconds, 2),
             ConsoleTable::num(result.metrics.meanServiceTime(), 2),
             ConsoleTable::num(perInvocationUs, 1) +
                 " us/invocation");
-    };
-    for (std::size_t i = 0; i < sizes.size(); ++i) {
-        addRow(i, budgetPlan.jobs()[i].label, sitwResults[i]);
-        runs.push_back({budgetPlan.jobs()[i].label, sitwResults[i]});
-        for (std::size_t p = 0; p < 3; ++p) {
-            const std::size_t job = 3 * i + p;
-            addRow(i, plan.jobs()[job].label, results[job]);
-            runs.push_back({plan.jobs()[job].label, results[job]});
-        }
     }
     table.print();
     paperNote("CodeCrunch's per-invocation decision cost stays close "

@@ -123,14 +123,11 @@ std::optional<NodeId>
 Cluster::pickNodeForExec(NodeType type, MegaBytes memoryMb,
                          Seconds now) const
 {
-    // Two passes when the caller supplied a timestamp and a cooldown
-    // is configured: first prefer nodes outside recently-faulted
-    // domains, then fall back to every up node (deprioritize, never
-    // exclude). With the cooldown disabled the first pass already
-    // scans every node, so legacy behavior is bit-identical.
+    // Two passes when a cooldown is configured: first prefer nodes
+    // outside recently-faulted domains, then fall back to every up
+    // node (deprioritize, never exclude).
     const bool applyCooldown =
-        now >= 0.0 && config_.domainCooldownSeconds > 0.0 &&
-        numDomains_ > 1;
+        config_.domainCooldownSeconds > 0.0 && numDomains_ > 1;
     for (int pass = applyCooldown ? 0 : 1; pass < 2; ++pass) {
         std::optional<NodeId> best;
         MegaBytes bestFree = -1;

@@ -240,16 +240,14 @@ class Cluster
     /**
      * Pick the node of `type` best able to run `memoryMb` more (one
      * core + memory): the feasible node with the most free memory.
-     * When `now` is non-negative and a placement cooldown is
-     * configured, nodes outside recently-faulted domains are
-     * preferred; cooling domains are only used when nothing else
-     * fits. `now < 0` (the default) skips the cooldown check, keeping
-     * legacy call sites bit-identical.
+     * When a placement cooldown is configured, nodes outside domains
+     * faulted shortly before `now` are preferred; cooling domains are
+     * only used when nothing else fits.
      * @return node id, or nullopt if no node of that type fits.
      */
     std::optional<NodeId>
     pickNodeForExec(NodeType type, MegaBytes memoryMb,
-                    Seconds now = -1.0) const;
+                    Seconds now) const;
 
     /** Reserve one core + memory on a node (start of an execution). */
     void reserveExec(NodeId id, MegaBytes memoryMb);

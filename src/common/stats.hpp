@@ -159,13 +159,6 @@ class PercentileDigest
                static_cast<double>(samples_.size());
     }
 
-    const std::vector<double>&
-    sortedSamples() const
-    {
-        sortIfNeeded();
-        return samples_;
-    }
-
     /**
      * Exact binary round trip (runner/serial.hpp). Samples travel in
      * their current order along with the sorted flag, so a decoded

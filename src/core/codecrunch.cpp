@@ -133,12 +133,6 @@ CodeCrunch::bind(policy::PolicyContext& context)
                                                  kSecondsPerMinute);
 }
 
-double
-CodeCrunch::budgetRatePerSecond() const
-{
-    return creditor_ ? creditor_->ratePerSecond() : -1.0;
-}
-
 NodeType
 CodeCrunch::defaultArch(FunctionId function) const
 {

@@ -142,9 +142,6 @@ class CodeCrunch : public policy::Policy
     std::optional<cluster::ContainerId>
     pickVictim(NodeId node, MegaBytes neededMb) override;
 
-    /** Effective budget rate ($/s) after bind-time derivation. */
-    double budgetRatePerSecond() const;
-
     /** Per-tick optimizer telemetry (for inspection/tests). */
     struct TickDebug {
         Dollars available = 0.0;
@@ -160,12 +157,6 @@ class CodeCrunch : public policy::Policy
 
     /** Ticks the watchdog rejected since bind(). */
     std::size_t watchdogTrips() const { return watchdogTrips_; }
-
-    /** The current optimized choice of one function (for inspection). */
-    const opt::Choice& solution(FunctionId function) const
-    {
-        return solutions_[function];
-    }
 
     /** The budget creditor (null before bind; for inspection/tests). */
     const BudgetCreditor* creditor() const { return creditor_.get(); }

@@ -226,11 +226,6 @@ class IntervalObjective : public opt::SeparableObjective
                 cost};
     }
 
-    const FunctionEstimate& estimate(std::size_t i) const
-    {
-        return estimates_[i];
-    }
-
   private:
     std::vector<FunctionEstimate> estimates_;
     double costRate_[kNumNodeTypes];

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -47,65 +48,86 @@ Driver::Driver(const trace::Workload& workload,
         config_.faults, cluster_.nodes().size(),
         lastArrivalTime_ + config_.drainGrace,
         clusterConfig.numFaultDomains);
+    inFlight_.resize(cluster_.nodes().size() * coresPerNode());
 
     trace_ = config_.trace;
-    if (trace_) {
-        coreSlots_.assign(
-            cluster_.nodes().size(),
-            std::vector<bool>(
-                static_cast<std::size_t>(
-                    cluster_.config().coresPerNode),
-                false));
+    if (trace_)
         trace_->nameTrack(obs::kControllerTrack, "controller");
+}
+
+// --- in-flight table -----------------------------------------------------
+
+std::size_t
+Driver::claimCore(NodeId nodeId, const Invocation& invocation,
+                  int attempt)
+{
+    cluster_.reserveExec(nodeId,
+                         workload_.profile(invocation.function).memoryMb);
+    const std::size_t first = nodeId * coresPerNode();
+    for (std::size_t core = 0; core < coresPerNode(); ++core) {
+        InFlight& entry = inFlight_[first + core];
+        if (entry.seq != 0)
+            continue;
+        entry.invocation = invocation;
+        entry.attempt = attempt;
+        entry.seq = nextExecId_++;
+        entry.start = queue_.now();
+        ++running_;
+        if (trace_)
+            trace_->nameTrack(
+                coreTid(first + core),
+                "node" + std::to_string(nodeId) +
+                    (cluster_.node(nodeId).type == NodeType::X86
+                         ? "/x86 c"
+                         : "/arm c") +
+                    std::to_string(core));
+        return first + core;
     }
+    panic("Driver: node ", nodeId, " has no free core entry");
+}
+
+Driver::InFlight
+Driver::releaseCore(std::size_t index)
+{
+    InFlight& entry = inFlight_[index];
+    if (entry.seq == 0)
+        panic("Driver: release of free core entry ", index);
+    InFlight work = std::move(entry);
+    entry = InFlight{};
+    --running_;
+    cluster_.releaseExec(
+        nodeOf(index), workload_.profile(work.invocation.function).memoryMb);
+    return work;
 }
 
 // --- observability helpers ---------------------------------------------
 
 std::uint32_t
-Driver::coreTid(NodeId node, int slot) const
+Driver::coreTid(std::size_t index) const
 {
-    const auto cores =
-        static_cast<std::uint32_t>(cluster_.config().coresPerNode);
-    return 1 + node * (cores + 1) + static_cast<std::uint32_t>(slot);
+    return static_cast<std::uint32_t>(1 + index + nodeOf(index));
 }
 
 std::uint32_t
 Driver::bgTid(NodeId node) const
 {
-    return coreTid(node, cluster_.config().coresPerNode);
-}
-
-int
-Driver::allocCoreSlot(NodeId node)
-{
-    auto& slots = coreSlots_[node];
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-        if (!slots[s]) {
-            slots[s] = true;
-            const int slot = static_cast<int>(s);
-            trace_->nameTrack(
-                coreTid(node, slot),
-                "node" + std::to_string(node) +
-                    (cluster_.node(node).type == NodeType::X86
-                         ? "/x86 c"
-                         : "/arm c") +
-                    std::to_string(slot));
-            return slot;
-        }
-    }
-    // The cluster never runs more executions than cores, but stay
-    // defensive: overflow lands on the bg track rather than crashing
-    // an observability path.
-    return cluster_.config().coresPerNode;
+    return static_cast<std::uint32_t>(1 + node * (coresPerNode() + 1) +
+                                      coresPerNode());
 }
 
 void
-Driver::freeCoreSlot(NodeId node, int slot)
+Driver::emitCoreSlice(std::size_t index, const InFlight& work,
+                      obs::TraceEvent::Kind kind, std::uint8_t cause)
 {
-    if (slot >= 0 &&
-        slot < cluster_.config().coresPerNode)
-        coreSlots_[node][static_cast<std::size_t>(slot)] = false;
+    obs::TraceEvent event;
+    event.kind = kind;
+    event.u8 = cause;
+    event.tid = coreTid(index);
+    event.a = work.invocation.function;
+    event.b = static_cast<std::uint32_t>(work.attempt);
+    event.ts = work.start;
+    event.dur = queue_.now() - work.start;
+    trace_->emit(event);
 }
 
 std::uint32_t
@@ -143,19 +165,19 @@ Driver::emitWaitTrace(const Invocation& invocation, int attempt,
 }
 
 void
-Driver::emitInvocationTrace(const RunningExec& exec,
+Driver::emitInvocationTrace(std::size_t index, const InFlight& exec,
                             const metrics::InvocationRecord& record)
 {
     if (!traceKeep(record.function))
         return;
-    const std::uint32_t tid = coreTid(exec.node, exec.traceSlot);
+    const std::uint32_t tid = coreTid(index);
     obs::TraceEvent event;
     event.kind = obs::TraceEvent::Kind::Invocation;
     event.u8 = static_cast<std::uint8_t>(record.start);
     event.tid = tid;
     event.a = record.function;
     event.b = static_cast<std::uint32_t>(exec.attempt);
-    event.ts = exec.traceStart;
+    event.ts = exec.start;
     event.dur = record.startup + record.exec;
     trace_->emit(event);
     if (record.startup > 0.0) {
@@ -164,19 +186,19 @@ Driver::emitInvocationTrace(const RunningExec& exec,
         startup.u8 = event.u8;
         startup.tid = tid;
         startup.a = record.function;
-        startup.ts = exec.traceStart;
+        startup.ts = exec.start;
         startup.dur = record.startup;
         trace_->emit(startup);
         obs::TraceEvent run;
         run.kind = obs::TraceEvent::Kind::Exec;
         run.tid = tid;
         run.a = record.function;
-        run.ts = exec.traceStart + record.startup;
+        run.ts = exec.start + record.startup;
         run.dur = record.exec;
         trace_->emit(run);
     }
     emitWaitTrace(exec.invocation, exec.attempt, record.arrival,
-                  exec.traceStart);
+                  exec.start);
 }
 
 void
@@ -287,7 +309,6 @@ Driver::run()
 void
 Driver::scheduleArrival(std::size_t index)
 {
-    nextArrival_ = index;
     const Invocation& invocation = workload_.invocations[index];
     queue_.schedule(invocation.arrival, [this, index] {
         const Invocation inv = workload_.invocations[index];
@@ -363,7 +384,6 @@ Driver::tryStart(const Invocation& invocation, int attempt)
         const NodeId nodeId = container.node;
         const NodeType type = cluster_.node(nodeId).type;
         consumeWarm(startable);
-        cluster_.reserveExec(nodeId, profile.memoryMb);
         const Seconds startup = startableCompressed
             ? profile.decompress[static_cast<int>(type)]
             : 0.0;
@@ -389,7 +409,6 @@ Driver::tryStart(const Invocation& invocation, int attempt)
         if (!profile.snapshotFavorable(node.type))
             continue;
         cluster_.noteSnapshotUsed(snapId, queue_.now());
-        cluster_.reserveExec(snap.node, profile.memoryMb);
         startExecution(
             invocation, snap.node, StartType::Snapshot,
             profile.restore[static_cast<int>(node.type)], attempt);
@@ -411,7 +430,6 @@ Driver::tryStart(const Invocation& invocation, int attempt)
     for (NodeType type : {preferred, other}) {
         if (const auto nodeId = cluster_.pickNodeForExec(
                 type, profile.memoryMb, queue_.now())) {
-            cluster_.reserveExec(*nodeId, profile.memoryMb);
             startExecution(
                 invocation, *nodeId, StartType::Cold,
                 profile.coldStart[static_cast<int>(type)], attempt);
@@ -428,7 +446,6 @@ Driver::tryStart(const Invocation& invocation, int attempt)
         for (const NodeId nodeId :
              pickNodesWithReclaim(type, profile)) {
             if (reclaimFor(nodeId, profile.memoryMb)) {
-                cluster_.reserveExec(nodeId, profile.memoryMb);
                 const NodeType actual = cluster_.node(nodeId).type;
                 startExecution(
                     invocation, nodeId, StartType::Cold,
@@ -525,19 +542,7 @@ Driver::startExecution(const Invocation& invocation, NodeId nodeId,
 {
     const auto& profile = workload_.profile(invocation.function);
     const NodeType type = cluster_.node(nodeId).type;
-    const std::uint64_t id = nextExecId_++;
-
-    RunningExec exec;
-    exec.invocation = invocation;
-    exec.seq = id;
-    exec.attempt = attempt;
-    exec.node = nodeId;
-    exec.memoryMb = profile.memoryMb;
-    ++running_;
-    if (trace_) {
-        exec.traceStart = queue_.now();
-        exec.traceSlot = allocCoreSlot(nodeId);
-    }
+    const std::size_t entry = claimCore(nodeId, invocation, attempt);
 
     // Transient failure? A pure hash decision (no RNG draw), so a
     // zero failure rate leaves the noise stream — and therefore the
@@ -546,31 +551,13 @@ Driver::startExecution(const Invocation& invocation, NodeId nodeId,
         // The doomed attempt holds its core and memory only until the
         // platform notices, then retries with backoff. No record is
         // emitted; the eventual success accounts the full wait.
-        const auto slot = runningExecs_.emplace(std::move(exec));
-        runningExecs_[slot].finish = queue_.scheduleAfter(
-            config_.failureDetectSeconds, [this, slot] {
-                const RunningExec failed =
-                    std::move(runningExecs_[slot]);
-                runningExecs_.erase(slot);
-                --running_;
-                cluster_.releaseExec(failed.node, failed.memoryMb);
-                if (trace_) {
-                    if (traceKeep(failed.invocation.function)) {
-                        obs::TraceEvent event;
-                        event.kind =
-                            obs::TraceEvent::Kind::AttemptFailed;
-                        event.u8 = 0; // transient failure
-                        event.tid =
-                            coreTid(failed.node, failed.traceSlot);
-                        event.a = failed.invocation.function;
-                        event.b = static_cast<std::uint32_t>(
-                            failed.attempt);
-                        event.ts = failed.traceStart;
-                        event.dur = queue_.now() - failed.traceStart;
-                        trace_->emit(event);
-                    }
-                    freeCoreSlot(failed.node, failed.traceSlot);
-                }
+        inFlight_[entry].finish = queue_.scheduleAfter(
+            config_.failureDetectSeconds, [this, entry] {
+                const InFlight failed = releaseCore(entry);
+                if (trace_ && traceKeep(failed.invocation.function))
+                    emitCoreSlice(entry, failed,
+                                  obs::TraceEvent::Kind::AttemptFailed,
+                                  0); // transient failure
                 failAttempt(failed.invocation, failed.attempt);
                 drainWaitQueue();
             });
@@ -594,28 +581,20 @@ Driver::startExecution(const Invocation& invocation, NodeId nodeId,
     record.start = start;
     record.nodeType = type;
 
-    const auto slot = runningExecs_.emplace(std::move(exec));
-    runningExecs_[slot].finish = queue_.scheduleAfter(
-        startupLatency + execTime, [this, slot, record] {
-            const RunningExec done = std::move(runningExecs_[slot]);
-            runningExecs_.erase(slot);
-            if (trace_) {
-                // Emission waits for completion so a crash-killed
-                // execution can be drawn with its true length.
-                emitInvocationTrace(done, record);
-                freeCoreSlot(done.node, done.traceSlot);
-            }
-            handleFinish(done.invocation, done.node, record);
+    inFlight_[entry].finish = queue_.scheduleAfter(
+        startupLatency + execTime, [this, entry, record] {
+            const InFlight done = releaseCore(entry);
+            // Emission waits for completion so a crash-killed
+            // execution can be drawn with its true length.
+            if (trace_)
+                emitInvocationTrace(entry, done, record);
+            handleFinish(nodeOf(entry), record);
         });
 }
 
 void
-Driver::handleFinish(const Invocation& invocation, NodeId nodeId,
-                     InvocationRecord record)
+Driver::handleFinish(NodeId nodeId, const InvocationRecord& record)
 {
-    const auto& profile = workload_.profile(invocation.function);
-    --running_;
-    cluster_.releaseExec(nodeId, profile.memoryMb);
     result_.metrics.record(record);
 
     const KeepAliveDecision decision =
@@ -624,8 +603,7 @@ Driver::handleFinish(const Invocation& invocation, NodeId nodeId,
     // does: executions always outrank keep-alive (the same priority
     // the reclaim path enforces).
     drainWaitQueue();
-    applyDecision(invocation.function, nodeId, record.nodeType,
-                  decision);
+    applyDecision(record.function, nodeId, record.nodeType, decision);
 }
 
 void
@@ -778,47 +756,26 @@ Driver::requestPrewarm(FunctionId function, NodeType type,
     // The cold start runs on the target node (core + memory busy),
     // then the container becomes warm. Registered so a crash of the
     // node mid-start can cancel it and reclaim the resources.
-    cluster_.reserveExec(*nodeId, profile.memoryMb);
-    ++running_;
+    const std::size_t entry =
+        claimCore(*nodeId, Invocation{function}, 0);
     ++prewarmsIssued_;
     if (inRecoveryHook_)
         ++result_.rePrewarmsIssued;
-    const std::uint64_t id = nextExecId_++;
-    PrewarmExec prewarm;
-    prewarm.function = function;
-    prewarm.seq = id;
-    prewarm.node = *nodeId;
-    prewarm.memoryMb = profile.memoryMb;
-    if (trace_) {
-        prewarm.traceStart = queue_.now();
-        prewarm.traceSlot = allocCoreSlot(*nodeId);
-    }
     const Seconds coldStart =
         profile.coldStart[static_cast<int>(type)];
-    const auto slot = prewarms_.emplace(std::move(prewarm));
-    prewarms_[slot].finish = queue_.scheduleAfter(
-        coldStart, [this, slot, keepAliveSeconds] {
-            const PrewarmExec done = std::move(prewarms_[slot]);
-            prewarms_.erase(slot);
-            --running_;
-            cluster_.releaseExec(done.node, done.memoryMb);
-            const bool fits =
-                cluster_.warmHeadroomMb(done.node) + 1e-6 >=
-                done.memoryMb;
-            if (trace_) {
-                obs::TraceEvent event;
-                event.kind = obs::TraceEvent::Kind::Prewarm;
-                event.u8 = fits ? 0 : 2; // 2 = dropped, no headroom
-                event.tid = coreTid(done.node, done.traceSlot);
-                event.a = done.function;
-                event.ts = done.traceStart;
-                event.dur = queue_.now() - done.traceStart;
-                trace_->emit(event);
-                freeCoreSlot(done.node, done.traceSlot);
-            }
+    inFlight_[entry].finish = queue_.scheduleAfter(
+        coldStart, [this, entry, keepAliveSeconds] {
+            const InFlight done = releaseCore(entry);
+            const NodeId node = nodeOf(entry);
+            const FunctionId fn = done.invocation.function;
+            const bool fits = cluster_.warmHeadroomMb(node) + 1e-6 >=
+                workload_.profile(fn).memoryMb;
+            if (trace_)
+                emitCoreSlice(entry, done,
+                              obs::TraceEvent::Kind::Prewarm,
+                              fits ? 0 : 2); // 2 = dropped, no headroom
             if (fits) {
-                addWarmContainer(done.function, done.node,
-                                 keepAliveSeconds, false);
+                addWarmContainer(fn, node, keepAliveSeconds, false);
             } else {
                 // The warm reservation shrank during the cold start;
                 // the finished container has nowhere to live. Count
@@ -876,65 +833,33 @@ Driver::crashNode(NodeId nodeId)
         evictContainer(id, /*byFault=*/true);
     }
 
-    // In-flight executions fail; regular invocations retry with
-    // backoff, prewarm cold starts are simply dropped. Victims are
-    // processed in creation (`seq`) order — the key order of the
-    // ordered maps the slot pools replaced.
-    using ExecSlot = sim::SlotPool<RunningExec>::Index;
-    std::vector<std::pair<std::uint64_t, ExecSlot>> execVictims;
-    runningExecs_.forEach(
-        [&](ExecSlot slot, const RunningExec& exec) {
-            if (exec.node == nodeId)
-                execVictims.emplace_back(exec.seq, slot);
-        });
-    std::sort(execVictims.begin(), execVictims.end());
-    for (const auto& [seq, slot] : execVictims) {
-        RunningExec failed = std::move(runningExecs_[slot]);
-        runningExecs_.erase(slot);
-        failed.finish.cancel();
-        --running_;
-        cluster_.releaseExec(failed.node, failed.memoryMb);
-        if (trace_) {
-            if (traceKeep(failed.invocation.function)) {
-                obs::TraceEvent event;
-                event.kind = obs::TraceEvent::Kind::AttemptFailed;
-                event.u8 = 1; // killed by node crash
-                event.tid = coreTid(failed.node, failed.traceSlot);
-                event.a = failed.invocation.function;
-                event.b = static_cast<std::uint32_t>(failed.attempt);
-                event.ts = failed.traceStart;
-                event.dur = now - failed.traceStart;
-                trace_->emit(event);
-            }
-            freeCoreSlot(failed.node, failed.traceSlot);
-        }
-        failAttempt(failed.invocation, failed.attempt);
+    // In-flight work on the node fails: executions retry with
+    // backoff, prewarm cold starts are simply dropped. Executions go
+    // first, then prewarms, each in creation (`seq`) order.
+    std::vector<std::tuple<bool, std::uint64_t, std::size_t>> victims;
+    const std::size_t first = nodeId * coresPerNode();
+    for (std::size_t index = first; index < first + coresPerNode();
+         ++index) {
+        const InFlight& work = inFlight_[index];
+        if (work.seq != 0)
+            victims.emplace_back(work.attempt == 0, work.seq, index);
     }
-    using PrewarmSlot = sim::SlotPool<PrewarmExec>::Index;
-    std::vector<std::pair<std::uint64_t, PrewarmSlot>> prewarmVictims;
-    prewarms_.forEach(
-        [&](PrewarmSlot slot, const PrewarmExec& prewarm) {
-            if (prewarm.node == nodeId)
-                prewarmVictims.emplace_back(prewarm.seq, slot);
-        });
-    std::sort(prewarmVictims.begin(), prewarmVictims.end());
-    for (const auto& [seq, slot] : prewarmVictims) {
-        PrewarmExec dropped = std::move(prewarms_[slot]);
-        prewarms_.erase(slot);
-        dropped.finish.cancel();
-        --running_;
-        cluster_.releaseExec(dropped.node, dropped.memoryMb);
-        if (trace_) {
-            obs::TraceEvent event;
-            event.kind = obs::TraceEvent::Kind::Prewarm;
-            event.u8 = 1; // killed by node crash
-            event.tid = coreTid(dropped.node, dropped.traceSlot);
-            event.a = dropped.function;
-            event.ts = dropped.traceStart;
-            event.dur = now - dropped.traceStart;
-            trace_->emit(event);
-            freeCoreSlot(dropped.node, dropped.traceSlot);
+    std::sort(victims.begin(), victims.end());
+    for (const auto& [prewarm, seq, index] : victims) {
+        InFlight failed = releaseCore(index);
+        failed.finish.cancel();
+        if (prewarm) {
+            if (trace_)
+                emitCoreSlice(index, failed,
+                              obs::TraceEvent::Kind::Prewarm,
+                              1); // killed by node crash
+            continue;
         }
+        if (trace_ && traceKeep(failed.invocation.function))
+            emitCoreSlice(index, failed,
+                          obs::TraceEvent::Kind::AttemptFailed,
+                          1); // killed by node crash
+        failAttempt(failed.invocation, failed.attempt);
     }
 
     // Resident snapshots live on the node's local storage and die

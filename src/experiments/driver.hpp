@@ -27,7 +27,6 @@
 #include "metrics/collector.hpp"
 #include "obs/trace.hpp"
 #include "policy/policy.hpp"
-#include "sim/arena.hpp"
 #include "sim/event_queue.hpp"
 #include "trace/workload.hpp"
 
@@ -315,32 +314,23 @@ class Driver : public policy::PolicyContext
         int attempt = 1;
     };
 
-    /** One in-flight execution (normal or transiently failing). */
-    struct RunningExec {
+    /**
+     * One core's in-flight work: an execution (normal or transiently
+     * failing) or a prewarm cold start. Every unit of in-flight work
+     * holds exactly one core of one node, so (node, core) names it and
+     * the record lives at inFlight_[node * coresPerNode + core].
+     */
+    struct InFlight {
+        /** A prewarm carries only invocation.function. */
         Invocation invocation;
-        /** Monotone creation id; crash handling sorts victims by it
-         *  so the walk order matches the old std::map key order. */
+        /** Attempt number of an execution; 0 marks a prewarm. */
+        int attempt = 0;
+        /** Monotone creation id; 0 marks a free entry. Crash handling
+         *  walks victims in `seq` order. */
         std::uint64_t seq = 0;
-        int attempt = 1;
-        NodeId node = kInvalidNode;
-        MegaBytes memoryMb = 0;
+        /** Sim time the work took the core (start of its trace slice). */
+        Seconds start = 0.0;
         sim::EventHandle finish;
-        /** Tracing only: sim start time and the node core track. */
-        Seconds traceStart = 0.0;
-        int traceSlot = -1;
-    };
-
-    /** One in-flight prewarm cold start (no invocation to retry). */
-    struct PrewarmExec {
-        FunctionId function = kInvalidFunction;
-        /** Monotone creation id (see RunningExec::seq). */
-        std::uint64_t seq = 0;
-        NodeId node = kInvalidNode;
-        MegaBytes memoryMb = 0;
-        sim::EventHandle finish;
-        /** Tracing only: sim start time and the node core track. */
-        Seconds traceStart = 0.0;
-        int traceSlot = -1;
     };
 
     void scheduleArrival(std::size_t index);
@@ -352,10 +342,44 @@ class Driver : public policy::PolicyContext
      */
     bool tryStart(const Invocation& invocation, int attempt);
 
-    /** Start executing on `node` with the given start category. */
+    /**
+     * Start executing on `node` with the given start category: claim
+     * a core (claimCore) and schedule the finish or the transient
+     * failure.
+     */
     void startExecution(const Invocation& invocation, NodeId node,
                         StartType start, Seconds startupLatency,
                         int attempt);
+
+    // --- in-flight table ----------------------------------------------
+
+    /**
+     * Reserve one core and the function's memory on `node`, and record
+     * the work in the node's lowest free core entry; that core names
+     * its trace track. Returns the entry's index. Panics when the node
+     * has no free core.
+     */
+    std::size_t claimCore(NodeId node, const Invocation& invocation,
+                          int attempt);
+
+    /**
+     * Free in-flight entry `index`: hand back its record and release
+     * its core and memory on the node. Panics on a free entry.
+     */
+    InFlight releaseCore(std::size_t index);
+
+    /** The node whose core in-flight entry `index` is. */
+    NodeId
+    nodeOf(std::size_t index) const
+    {
+        return static_cast<NodeId>(index / coresPerNode());
+    }
+
+    std::size_t
+    coresPerNode() const
+    {
+        return static_cast<std::size_t>(cluster_.config().coresPerNode);
+    }
 
     // --- fault injection ----------------------------------------------
 
@@ -401,8 +425,8 @@ class Driver : public policy::PolicyContext
      */
     bool reclaimFor(NodeId node, MegaBytes neededMb);
 
-    void handleFinish(const Invocation& invocation, NodeId node,
-                      metrics::InvocationRecord record);
+    void handleFinish(NodeId node,
+                      const metrics::InvocationRecord& record);
 
     /** Apply a keep-alive decision for a container just vacated. */
     void applyDecision(FunctionId function, NodeId node,
@@ -434,21 +458,27 @@ class Driver : public policy::PolicyContext
 
     // --- observability -------------------------------------------------
     //
-    // Tracing bookkeeping: per-node core-slot occupancy so concurrent
-    // executions land on separate, properly nesting Perfetto tracks,
-    // and retroactive wait-lane allocation for queueing-delay slices.
-    // All of it is pure observation gated on trace_ being non-null.
+    // In-flight work is drawn on the track of the core it holds, so
+    // concurrent executions land on separate, properly nesting
+    // Perfetto tracks; queueing delays get retroactively allocated
+    // wait lanes. All of it is pure observation gated on trace_ being
+    // non-null.
 
-    /** Track of core `slot` on `node` (see obs/trace.hpp model). */
-    std::uint32_t coreTid(NodeId node, int slot) const;
+    /**
+     * Track of in-flight entry `index`'s core. Each node's core tracks
+     * are followed by its background track (see obs/trace.hpp model).
+     */
+    std::uint32_t coreTid(std::size_t index) const;
 
     /** The node's background track (compressions, fault instants). */
     std::uint32_t bgTid(NodeId node) const;
 
-    /** Claim the lowest free core slot of `node` (names the track). */
-    int allocCoreSlot(NodeId node);
-
-    void freeCoreSlot(NodeId node, int slot);
+    /**
+     * Emit in-flight entry `index`'s slice, from the work's start to
+     * now, on its core track (AttemptFailed and Prewarm slices).
+     */
+    void emitCoreSlice(std::size_t index, const InFlight& work,
+                       obs::TraceEvent::Kind kind, std::uint8_t cause);
 
     /**
      * Lane whose previous wait ended by `begin`; marks it busy until
@@ -458,7 +488,7 @@ class Driver : public policy::PolicyContext
     std::uint32_t allocWaitLane(Seconds begin, Seconds end);
 
     /** Emit the Invocation slice (plus Startup/Exec children). */
-    void emitInvocationTrace(const RunningExec& exec,
+    void emitInvocationTrace(std::size_t index, const InFlight& exec,
                              const metrics::InvocationRecord& record);
 
     /** Emit the Wait slice for a resolved queueing delay. */
@@ -517,14 +547,10 @@ class Driver : public policy::PolicyContext
 
     std::deque<Waiter> waitQueue_;
     std::unordered_map<cluster::ContainerId, WarmEvents> warmEvents_;
-    /**
-     * In-flight work in arena-backed slot pools (no per-event heap
-     * allocation). Each record carries a monotone `seq`; crash
-     * handling sorts victims by it, which reproduces the walk order
-     * of the ordered maps these pools replaced byte-for-byte.
-     */
-    sim::SlotPool<RunningExec> runningExecs_;
-    sim::SlotPool<PrewarmExec> prewarms_;
+    /** One InFlight entry per core of the cluster, node-major. */
+    std::vector<InFlight> inFlight_;
+    /** Occupied inFlight_ entries. */
+    std::size_t running_ = 0;
     std::uint64_t nextExecId_ = 1;
     /** Monotone attempt counter feeding FaultPlan::invocationFails. */
     std::uint64_t attemptSeq_ = 0;
@@ -536,16 +562,13 @@ class Driver : public policy::PolicyContext
     bool warmRecoveryPending_ = false;
     Seconds warmRecoveryStart_ = 0.0;
     MegaBytes warmRecoveryTargetMb_ = 0.0;
-    std::size_t nextArrival_ = 0;
     std::size_t arrivalsProcessed_ = 0;
-    std::size_t running_ = 0;
     /** Functions with an in-flight background snapshot creation. */
     std::unordered_set<FunctionId> pendingSnapshotCreates_;
     Seconds lastArrivalTime_ = 0.0;
 
     /** Observability (see the helper block above). */
     obs::TraceBuffer* trace_ = nullptr;
-    std::vector<std::vector<bool>> coreSlots_;
     std::vector<Seconds> waitLaneEnd_;
     /** Registry instruments (process-global, shared across runs). */
     // Run-local stat accumulation; run() flushes everything into the

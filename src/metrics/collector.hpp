@@ -329,10 +329,8 @@ class Collector
         return domainAvailability_;
     }
 
-    /** Keep-alive commitment dollars refunded at early removal. */
-    Dollars refundedDollars() const { return refundedDollars_; }
-
-    /** The crash/shock-attributed share of refundedDollars(). */
+    /** The crash/shock-attributed share of refunded keep-alive
+     *  commitment dollars. */
     Dollars
     faultRefundedDollars() const
     {

@@ -34,7 +34,7 @@
  * count under keep-alive retargeting churn.
  *
  * Handle state is pooled: EventHandle and the queue entry share a
- * refcounted slot from an Arena-backed pool instead of a per-event
+ * refcounted slot from a deque-backed pool instead of a per-event
  * shared_ptr control block, so scheduling allocates nothing on the
  * steady state. Handles may outlive the queue (the pool is kept alive
  * by the handles' shared ownership); cancel() after queue destruction
@@ -45,6 +45,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <iterator>
 #include <limits>
@@ -54,7 +55,6 @@
 
 #include "common/logging.hpp"
 #include "common/types.hpp"
-#include "sim/arena.hpp"
 
 namespace codecrunch::sim {
 
@@ -70,7 +70,7 @@ enum class EventStatus : std::uint8_t { Pending, Fired, Cancelled };
 
 /**
  * Refcounted per-event state shared by handles and the queue entry.
- * Lives in StatePool's arena; recycled through a LIFO free list when
+ * Lives in StatePool's deque; recycled through a LIFO free list when
  * the last reference drops.
  */
 struct EventState {
@@ -86,7 +86,8 @@ struct EventState {
  */
 struct StatePool {
     EventQueue* queue = nullptr;
-    Arena arena{16 * 1024};
+    /** Every state ever made; emplace_back never moves the others. */
+    std::deque<EventState> states;
     EventState* freeList = nullptr;
 
     EventState*
@@ -97,7 +98,7 @@ struct StatePool {
             state = freeList;
             freeList = state->nextFree;
         } else {
-            state = arena.create<EventState>();
+            state = &states.emplace_back();
         }
         state->status = EventStatus::Pending;
         state->refs = 1; // the queue entry's reference

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "common/csv.hpp"
 #include "common/rng.hpp"
@@ -28,8 +30,13 @@ AzureCsv::writeInvocationCounts(const Workload& workload,
 
     CsvWriter out(path);
     CsvRow header = {"function_id", "name"};
-    for (std::size_t m = 0; m < minutes; ++m)
-        header.push_back("m" + std::to_string(m));
+    for (std::size_t m = 0; m < minutes; ++m) {
+        // Appending instead of "m" + to_string(m) sidesteps GCC 12's
+        // -Wrestrict false positive on the inlined concatenation.
+        std::string column = "m";
+        column += std::to_string(m);
+        header.push_back(std::move(column));
+    }
     out.writeRow(header);
     for (const auto& f : workload.functions) {
         CsvRow row = {std::to_string(f.id), f.name};
@@ -122,7 +129,8 @@ AzureCsv::read(const std::string& countsPath,
     // header silently shifts every arrival. Reject out-of-order
     // minute columns up front.
     for (std::size_t m = 0; m < minutes; ++m) {
-        const std::string expected = "m" + std::to_string(m);
+        std::string expected = "m";
+        expected += std::to_string(m);
         if (countLines[0].fields[m + 2] != expected)
             fatal("AzureCsv: ", countsPath, ":", countLines[0].number,
                   ": column ", m + 3, ": out-of-order minute column '",

@@ -98,7 +98,7 @@ TEST(Cluster, PickNodeForExecPrefersMostFreeMemory)
 {
     Cluster cluster(tinyConfig());
     cluster.reserveExec(0, 600);
-    const auto node = cluster.pickNodeForExec(NodeType::X86, 100);
+    const auto node = cluster.pickNodeForExec(NodeType::X86, 100, 0.0);
     ASSERT_TRUE(node.has_value());
     EXPECT_EQ(*node, 1u); // node 1 has more free memory
 }
@@ -106,7 +106,7 @@ TEST(Cluster, PickNodeForExecPrefersMostFreeMemory)
 TEST(Cluster, PickNodeForExecRespectsType)
 {
     Cluster cluster(tinyConfig());
-    const auto arm = cluster.pickNodeForExec(NodeType::ARM, 100);
+    const auto arm = cluster.pickNodeForExec(NodeType::ARM, 100, 0.0);
     ASSERT_TRUE(arm.has_value());
     EXPECT_EQ(cluster.node(*arm).type, NodeType::ARM);
 }
@@ -119,7 +119,8 @@ TEST(Cluster, PickNodeForExecFailsWhenFull)
         cluster.reserveExec(n, 10);
         cluster.reserveExec(n, 10);
     }
-    EXPECT_FALSE(cluster.pickNodeForExec(NodeType::X86, 10).has_value());
+    EXPECT_FALSE(
+        cluster.pickNodeForExec(NodeType::X86, 10, 0.0).has_value());
 }
 
 TEST(Cluster, WarmPoolLifecycle)
@@ -453,10 +454,6 @@ TEST(ClusterDomains, CooldownDeprioritizesButDoesNotExclude)
         cluster.pickNodeForExec(NodeType::X86, 100, 150.0);
     ASSERT_TRUE(fallback.has_value());
     EXPECT_EQ(cluster.domainOf(*fallback), 0);
-
-    // Legacy call sites pass no timestamp; the cooldown is inert then.
-    EXPECT_TRUE(
-        cluster.pickNodeForExec(NodeType::X86, 100).has_value());
 }
 
 TEST(Cluster, SnapshotResidencyAndSpendAccrual)

@@ -2,13 +2,17 @@
  * @file
  * Fault-injection tests: FaultPlan schedule determinism and validation,
  * cluster node-lifecycle invariants under churn, driver retry/backoff
- * behavior, the acceptance property that an all-zero fault config is
+ * behavior, in-flight work on its node's core trace tracks under
+ * crashes, the acceptance property that an all-zero fault config is
  * bit-identical to a fault-free run, and the controller watchdog.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "common/rng.hpp"
@@ -207,14 +211,14 @@ TEST(ClusterFaults, MarkDownHidesNodeFromPlacement)
     EXPECT_TRUE(cluster.node(0).down);
     EXPECT_EQ(cluster.downNodes(), 1);
     EXPECT_FALSE(
-        cluster.pickNodeForExec(NodeType::X86, 100).has_value());
+        cluster.pickNodeForExec(NodeType::X86, 100, 0.0).has_value());
     EXPECT_DOUBLE_EQ(cluster.warmHeadroomMb(0), 0.0);
 
     cluster.recover(0);
     EXPECT_TRUE(cluster.node(0).up());
     EXPECT_EQ(cluster.downNodes(), 0);
     EXPECT_TRUE(
-        cluster.pickNodeForExec(NodeType::X86, 100).has_value());
+        cluster.pickNodeForExec(NodeType::X86, 100, 0.0).has_value());
 }
 
 TEST(ClusterFaults, MarkDownPanicsWhenNotDrained)
@@ -494,6 +498,116 @@ TEST(DriverFaults, RejectsNegativeRetryConfig)
                           config);
         },
         "maxRetries");
+}
+
+TEST(DriverFaults, InFlightWorkStaysOnItsNodesCoreTracks)
+{
+    // Node crashes, memory shocks and transient failures on two-core
+    // nodes, traced. In-flight work is named by (node, core), so every
+    // execution, failed attempt and prewarm is drawn on a core track
+    // of its node, one core runs one thing at a time, and a crash ends
+    // everything on its node.
+    trace::TraceConfig traceConfig;
+    traceConfig.numFunctions = 40;
+    traceConfig.days = 0.1;
+    const auto workload =
+        trace::TraceGenerator::generate(traceConfig);
+    const cluster::ClusterConfig clusterConfig = smallClusterConfig(4, 3);
+    DriverConfig config;
+    config.faults.nodeMtbfSeconds = 1800.0;
+    config.faults.nodeMttrSeconds = 120.0;
+    config.faults.memoryShockMtbfSeconds = 1200.0;
+    config.faults.transientFailureProbability = 1e-2;
+    obs::TraceBuffer buffer;
+    config.trace = &buffer;
+    core::CodeCrunchConfig cc;
+    cc.budgetRatePerSecond = 5e-4; // keeps (and prewarms) containers
+    core::CodeCrunch policy(cc);
+    Driver driver(workload, clusterConfig, policy, config);
+    const auto result = driver.run();
+
+    using Kind = obs::TraceEvent::Kind;
+    const auto cores =
+        static_cast<std::uint32_t>(clusterConfig.coresPerNode);
+    const auto nodes = static_cast<std::uint32_t>(
+        clusterConfig.numX86 + clusterConfig.numArm);
+    struct Slice {
+        Seconds begin;
+        Seconds end;
+        bool killedByCrash;
+    };
+    // Per node: the slices of each core, and the crash times.
+    std::vector<std::vector<std::vector<Slice>>> slices(
+        nodes, std::vector<std::vector<Slice>>(cores));
+    std::vector<std::vector<Seconds>> crashes(nodes);
+    std::map<Kind, std::size_t> seen;
+    std::size_t crashKilled = 0;
+    for (const obs::TraceEvent& event : buffer.events()) {
+        ++seen[event.kind];
+        if (event.kind != Kind::NodeCrash &&
+            event.kind != Kind::Invocation &&
+            event.kind != Kind::AttemptFailed &&
+            event.kind != Kind::Prewarm)
+            continue;
+        // Node tracks: each node's cores, then its background track.
+        ASSERT_GE(event.tid, 1u);
+        const std::uint32_t node = (event.tid - 1) / (cores + 1);
+        const std::uint32_t track = (event.tid - 1) % (cores + 1);
+        ASSERT_LT(node, nodes);
+        if (event.kind == Kind::NodeCrash) {
+            EXPECT_EQ(track, cores);
+            crashes[node].push_back(event.ts);
+            continue;
+        }
+        ASSERT_LT(track, cores) << "in-flight work on a background track";
+        const std::string arch =
+            node < static_cast<std::uint32_t>(clusterConfig.numX86)
+                ? "x86"
+                : "arm";
+        EXPECT_EQ(buffer.trackNames().at(event.tid),
+                  "node" + std::to_string(node) + "/" + arch + " c" +
+                      std::to_string(track));
+        const bool killed =
+            event.kind != Kind::Invocation && event.u8 == 1;
+        crashKilled += killed;
+        slices[node][track].push_back(
+            {event.ts, event.ts + event.dur, killed});
+    }
+    EXPECT_GT(result.nodeCrashes, 0u);
+    EXPECT_GT(seen[Kind::MemoryShock], 0u);
+    EXPECT_GT(seen[Kind::Invocation], 0u);
+    EXPECT_GT(seen[Kind::AttemptFailed], 0u);
+    EXPECT_GT(seen[Kind::Prewarm], 0u);
+    EXPECT_GT(crashKilled, 0u);
+
+    constexpr double kEps = 1e-9;
+    for (std::uint32_t node = 0; node < nodes; ++node) {
+        for (auto& core : slices[node]) {
+            std::sort(core.begin(), core.end(),
+                      [](const Slice& a, const Slice& b) {
+                          return a.begin < b.begin;
+                      });
+            for (std::size_t i = 1; i < core.size(); ++i)
+                EXPECT_LE(core[i - 1].end, core[i].begin + kEps)
+                    << "overlap on node " << node;
+            for (const Slice& slice : core) {
+                bool endsAtCrash = false;
+                for (const Seconds crash : crashes[node]) {
+                    // Nothing on the node runs across its crash...
+                    if (slice.begin < crash) {
+                        EXPECT_LE(slice.end, crash + kEps)
+                            << "slice on node " << node
+                            << " outlives the crash at " << crash;
+                    }
+                    endsAtCrash |= std::abs(slice.end - crash) < kEps;
+                }
+                // ...and the work the crash killed ends exactly then.
+                if (slice.killedByCrash) {
+                    EXPECT_TRUE(endsAtCrash);
+                }
+            }
+        }
+    }
 }
 
 // --- Controller watchdog ----------------------------------------------------

@@ -15,23 +15,20 @@
  *  - Ladder-specific ordering: FIFO within a timestamp across Top
  *    spills and epoch boundaries, where a calendar queue could
  *    plausibly reorder. Non-finite event times panic.
- *  - Arena property tests: non-overlapping stable storage, alignment,
- *    poison-on-reset (0xDD), chunk reuse.
- *  - SlotPool: dense indices, LIFO slot recycling (determinism),
- *    stable addresses, ascending forEach, destructor discipline.
+ *  - Pooled handle state: handles outlive the queue, and every
+ *    differential run recycles event states through the pool's LIFO
+ *    free list.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <functional>
 #include <limits>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/arena.hpp"
 #include "sim/event_queue.hpp"
 
 #include "legacy_heap_queue.hpp"
@@ -453,139 +450,4 @@ TEST(EventQueue, HandlesOutliveQueue)
     }
     EXPECT_TRUE(survivor.pending());
     survivor.cancel(); // no queue left: must not crash
-}
-
-// --- Arena ------------------------------------------------------------------
-
-TEST(Arena, AllocationsDoNotOverlapAndHoldTheirBytes)
-{
-    Arena arena(1024); // small chunks: force many chunk transitions
-    Rng rng(7);
-    struct Block {
-        unsigned char* ptr;
-        std::size_t size;
-        unsigned char fill;
-    };
-    std::vector<Block> blocks;
-    for (int i = 0; i < 500; ++i) {
-        const std::size_t size =
-            static_cast<std::size_t>(rng.uniformInt(1, 200));
-        const std::size_t align = std::size_t{1}
-            << rng.uniformInt(0, 4);
-        auto* ptr = static_cast<unsigned char*>(
-            arena.allocate(size, align));
-        ASSERT_EQ(reinterpret_cast<std::uintptr_t>(ptr) % align, 0u);
-        const auto fill = static_cast<unsigned char>(i % 251);
-        std::memset(ptr, fill, size);
-        blocks.push_back({ptr, size, fill});
-    }
-    // Every block still holds its fill: any overlap would have been
-    // clobbered by a later memset.
-    for (const Block& block : blocks)
-        for (std::size_t b = 0; b < block.size; ++b)
-            ASSERT_EQ(block.ptr[b], block.fill);
-}
-
-TEST(Arena, ResetPoisonsFreedBytes)
-{
-    Arena arena;
-    auto* bytes = arena.allocateArray<unsigned char>(256);
-    std::memset(bytes, 0xAB, 256);
-    arena.reset();
-    // The chunk is retained for reuse, so the storage is still mapped;
-    // its contents must be the poison byte, making use-after-reset
-    // reads loud (and trivially detectable under sanitizers).
-    for (std::size_t i = 0; i < 256; ++i)
-        ASSERT_EQ(bytes[i], Arena::kPoisonByte);
-    EXPECT_EQ(arena.bytesAllocated(), 0u);
-}
-
-TEST(Arena, ResetReusesChunksInsteadOfGrowing)
-{
-    Arena arena(4096);
-    const auto fill = [&arena] {
-        for (int i = 0; i < 100; ++i)
-            arena.allocate(100, 8);
-    };
-    fill();
-    const std::size_t reservedAfterFirst = arena.bytesReserved();
-    for (int round = 0; round < 10; ++round) {
-        arena.reset();
-        fill();
-    }
-    EXPECT_EQ(arena.bytesReserved(), reservedAfterFirst);
-}
-
-// --- SlotPool ---------------------------------------------------------------
-
-TEST(SlotPool, IndicesAreDenseAndRecycledLifo)
-{
-    SlotPool<int> pool;
-    const auto a = pool.emplace(1);
-    const auto b = pool.emplace(2);
-    const auto c = pool.emplace(3);
-    EXPECT_EQ(a, 0u);
-    EXPECT_EQ(b, 1u);
-    EXPECT_EQ(c, 2u);
-    pool.erase(a);
-    pool.erase(c);
-    // LIFO: the most recently freed slot is reused first — the order
-    // is deterministic, so anything keyed on slot indices reproduces
-    // across runs.
-    EXPECT_EQ(pool.emplace(4), c);
-    EXPECT_EQ(pool.emplace(5), a);
-    EXPECT_EQ(pool.emplace(6), 3u);
-    EXPECT_EQ(pool.size(), 4u);
-}
-
-TEST(SlotPool, AddressesStayStableAsThePoolGrows)
-{
-    SlotPool<std::uint64_t> pool;
-    const auto first = pool.emplace(0xfeedfacecafebeefull);
-    const std::uint64_t* ptr = &pool[first];
-    for (int i = 0; i < 10'000; ++i)
-        pool.emplace(static_cast<std::uint64_t>(i));
-    EXPECT_EQ(&pool[first], ptr);
-    EXPECT_EQ(pool[first], 0xfeedfacecafebeefull);
-}
-
-TEST(SlotPool, ForEachVisitsLiveSlotsAscending)
-{
-    SlotPool<int> pool;
-    for (int i = 0; i < 10; ++i)
-        pool.emplace(i * 10);
-    for (SlotPool<int>::Index i = 1; i < 10; i += 2)
-        pool.erase(i);
-    std::vector<SlotPool<int>::Index> visited;
-    pool.forEach([&](SlotPool<int>::Index index, const int& value) {
-        visited.push_back(index);
-        EXPECT_EQ(value, static_cast<int>(index) * 10);
-    });
-    EXPECT_EQ(visited,
-              (std::vector<SlotPool<int>::Index>{0, 2, 4, 6, 8}));
-}
-
-TEST(SlotPool, EraseRunsDestructorsAndClearDropsTheRest)
-{
-    static int destroyed = 0;
-    struct Counted {
-        ~Counted() { ++destroyed; }
-    };
-    destroyed = 0;
-    SlotPool<Counted> pool;
-    const auto a = pool.emplace();
-    pool.emplace();
-    pool.emplace();
-    pool.erase(a);
-    EXPECT_EQ(destroyed, 1);
-    pool.clear();
-    EXPECT_EQ(destroyed, 3);
-    EXPECT_TRUE(pool.empty());
-}
-
-TEST(SlotPool, EraseOfEmptySlotPanics)
-{
-    SlotPool<int> pool;
-    pool.emplace(1);
-    EXPECT_DEATH(pool.erase(7), "erase of empty slot");
 }
