@@ -19,6 +19,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -137,6 +138,86 @@ class IntervalObjective : public opt::SeparableObjective
     term(std::size_t index, const opt::Choice& choice) const override
     {
         const FunctionEstimate& e = estimates_[index];
+        const Seconds keepAlive = opt::keepAliveLevels()[
+            static_cast<std::size_t>(choice.keepAliveLevel)];
+        return combine(e, choice, levelTerms(e, keepAlive));
+    }
+
+    /**
+     * The row evaluates P(warm | K) and E[min(IAT, K)] once per
+     * keep-alive level rather than once per choice: they depend on
+     * nothing else, and they hold every transcendental call.
+     */
+    void
+    termRow(std::size_t index,
+            std::pair<double, double>* out) const override
+    {
+        const FunctionEstimate& e = estimates_[index];
+        std::array<LevelTerms, opt::kKeepAliveLevels> levels;
+        for (std::size_t k = 0; k < levels.size(); ++k)
+            levels[k] = levelTerms(e, opt::keepAliveLevels()[k]);
+        for (const opt::Choice& choice : opt::choiceSet()) {
+            *out++ = combine(e, choice,
+                             levels[static_cast<std::size_t>(
+                                 choice.keepAliveLevel)]);
+        }
+    }
+
+  private:
+    /** The parts of a term that depend only on the keep-alive K. */
+    struct LevelTerms {
+        Seconds keepAlive = 0.0;
+        /** P(warm | K). */
+        double pWarm = 0.0;
+        /** E[min(IAT, K)]: the keep-alive time actually paid. */
+        Seconds expectedHold = 0.0;
+    };
+
+    static LevelTerms
+    levelTerms(const FunctionEstimate& e, Seconds keepAlive)
+    {
+        LevelTerms level;
+        level.keepAlive = keepAlive;
+        // Probabilistic warm model: the next inter-arrival time is
+        // centred on pest with dispersion sigma, so a keep-alive of K
+        // yields a warm start with probability Phi((K - pest)/sigma).
+        if (e.pest >= 0.0 && keepAlive > 0.0) {
+            const double sigma = std::max(e.sigma, 1.0);
+            const double z = (keepAlive - e.pest) / sigma;
+            level.pWarm = 0.5 * (1.0 + std::erf(z / std::sqrt(2.0)));
+        } else if (keepAlive > 0.0) {
+            // Unknown period (fewer than two observations): a mild
+            // prior keeps first-timers in play — the paper stresses
+            // that CodeCrunch does not depend on exact P_est.
+            level.pWarm = 0.3 * (1.0 - std::exp(-keepAlive / 900.0));
+        }
+
+        // Expected keep-alive duration: the container is consumed at
+        // the next arrival, so only min(IAT, K) is actually paid.
+        // With IAT ~ N(pest, sigma):
+        //   E[min(IAT, K)] = pest - [(pest-K) Phi((pest-K)/sigma)
+        //                            + sigma phi((pest-K)/sigma)]
+        level.expectedHold = keepAlive;
+        if (e.pest >= 0.0 && keepAlive > 0.0) {
+            const double sigma = std::max(e.sigma, 1.0);
+            const double d = (e.pest - keepAlive) / sigma;
+            const double phi =
+                std::exp(-0.5 * d * d) / std::sqrt(2.0 * M_PI);
+            const double Phi =
+                0.5 * (1.0 + std::erf(d / std::sqrt(2.0)));
+            level.expectedHold = e.pest -
+                ((e.pest - keepAlive) * Phi + sigma * phi);
+            level.expectedHold =
+                std::clamp(level.expectedHold, 0.0, keepAlive);
+        }
+        return level;
+    }
+
+    /** One choice's (service, cost) term from its level's parts. */
+    std::pair<double, double>
+    combine(const FunctionEstimate& e, const opt::Choice& choice,
+            const LevelTerms& level) const
+    {
         const int arch = static_cast<int>(choice.arch);
 
         // Restricted axes: effectively infeasible.
@@ -154,24 +235,7 @@ class IntervalObjective : public opt::SeparableObjective
         const bool snapshotOn = choice.snapshot &&
             restrictions_.allowSnapshot && e.snapshotMb > 0.0;
 
-        const Seconds keepAlive =
-            opt::keepAliveLevels()[static_cast<std::size_t>(
-                choice.keepAliveLevel)];
-        // Probabilistic warm model: the next inter-arrival time is
-        // centred on pest with dispersion sigma, so a keep-alive of K
-        // yields a warm start with probability Phi((K - pest)/sigma).
-        double pWarm = 0.0;
-        if (e.pest >= 0.0 && keepAlive > 0.0) {
-            const double sigma = std::max(e.sigma, 1.0);
-            const double z = (keepAlive - e.pest) / sigma;
-            pWarm = 0.5 * (1.0 + std::erf(z / std::sqrt(2.0)));
-        } else if (keepAlive > 0.0) {
-            // Unknown period (fewer than two observations): a mild
-            // prior keeps first-timers in play — the paper stresses
-            // that CodeCrunch does not depend on exact P_est.
-            pWarm = 0.3 * (1.0 - std::exp(-keepAlive / 900.0));
-        }
-
+        const double pWarm = level.pWarm;
         // A miss (no warm container at the next arrival) pays a cold
         // start — unless a resident snapshot restores faster; the
         // driver only uses a snapshot when it actually beats cold.
@@ -194,29 +258,13 @@ class IntervalObjective : public opt::SeparableObjective
         const MegaBytes held = choice.compress
             ? std::min(e.compressedMb, e.memoryMb)
             : e.memoryMb;
-        // Expected keep-alive duration: the container is consumed at
-        // the next arrival, so only min(IAT, K) is actually paid.
-        // With IAT ~ N(pest, sigma):
-        //   E[min(IAT, K)] = pest - [(pest-K) Phi((pest-K)/sigma)
-        //                            + sigma phi((pest-K)/sigma)]
-        double expectedHold = keepAlive;
-        if (e.pest >= 0.0 && keepAlive > 0.0) {
-            const double sigma = std::max(e.sigma, 1.0);
-            const double d = (e.pest - keepAlive) / sigma;
-            const double phi =
-                std::exp(-0.5 * d * d) / std::sqrt(2.0 * M_PI);
-            const double Phi =
-                0.5 * (1.0 + std::erf(d / std::sqrt(2.0)));
-            expectedHold = e.pest -
-                ((e.pest - keepAlive) * Phi + sigma * phi);
-            expectedHold = std::clamp(expectedHold, 0.0, keepAlive);
-        }
         // Weighting: the hotter the function, the more invocations one
         // warm container serves per interval — and the more spend its
         // repeated consumption/re-keep cycle accrues.
         double cost =
-            std::min(expectedHold * e.weight, 2.0 * keepAlive) * held *
-            costRate_[arch];
+            std::min(level.expectedHold * e.weight,
+                     2.0 * level.keepAlive) *
+            held * costRate_[arch];
         // Snapshot storage is pay-as-you-go on cheap disk: one
         // interval's worth of image residency, independent of the
         // keep-alive window and of how many invocations it serves.
@@ -226,7 +274,6 @@ class IntervalObjective : public opt::SeparableObjective
                 cost};
     }
 
-  private:
     std::vector<FunctionEstimate> estimates_;
     double costRate_[kNumNodeTypes];
     double snapshotRate_[kNumNodeTypes];

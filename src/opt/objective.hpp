@@ -44,11 +44,14 @@ struct Choice {
     }
 };
 
+/** Number of levels on the keep-alive grid. */
+inline constexpr std::size_t kKeepAliveLevels = 8;
+
 /** The discrete keep-alive grid in seconds (0 .. 60 minutes). */
-inline const std::vector<Seconds>&
+inline const std::array<Seconds, kKeepAliveLevels>&
 keepAliveLevels()
 {
-    static const std::vector<Seconds> levels = {
+    static constexpr std::array<Seconds, kKeepAliveLevels> levels = {
         0.0, 60.0, 120.0, 300.0, 600.0, 1200.0, 2400.0, 3600.0};
     return levels;
 }
@@ -57,10 +60,10 @@ keepAliveLevels()
  * Number of distinct (compress, arch, keep-alive, snapshot) tuples per
  * function.
  */
-inline std::size_t
+inline constexpr std::size_t
 choicesPerFunction()
 {
-    return 2 * 2 * 2 * keepAliveLevels().size();
+    return 2 * 2 * 2 * kKeepAliveLevels;
 }
 
 /** A full assignment: one Choice per optimized function. */

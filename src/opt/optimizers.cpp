@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "common/logging.hpp"
@@ -32,23 +33,70 @@ allChoices()
     return choices;
 }
 
-const std::vector<Choice>&
-choiceSet()
+/** Position of `choice` in choiceSet(); inverts allChoices(). */
+std::size_t
+choiceIndex(const Choice& choice)
 {
-    static const std::vector<Choice> set = allChoices();
-    return set;
+    const std::size_t block =
+        (choice.snapshot ? 4u : 0u) + (choice.compress ? 2u : 0u) +
+        (choice.arch == NodeType::ARM ? 1u : 0u);
+    return block * kKeepAliveLevels +
+           static_cast<std::size_t>(choice.keepAliveLevel);
 }
+
+using Term = std::pair<double, double>;
+
+/**
+ * The terms of every function a probe has touched: one row of
+ * choicesPerFunction() entries per function, in choiceSet() order,
+ * filled by a single termRow() call on the function's first probe.
+ * One table serves one optimize() call, so a function probed in
+ * several sub-problems, rounds or repair passes is evaluated once.
+ */
+class TermTable
+{
+  public:
+    explicit TermTable(const SeparableObjective& objective)
+        : objective_(objective), rowOf_(objective.size(), kNoRow)
+    {
+    }
+
+    const SeparableObjective& objective() const { return objective_; }
+
+    /** Function i's term under choiceSet()[c]. */
+    Term
+    at(std::size_t i, std::size_t c)
+    {
+        if (rowOf_[i] == kNoRow) {
+            rowOf_[i] = static_cast<std::uint32_t>(rows_.size() /
+                                                   kRow);
+            rows_.resize(rows_.size() + kRow);
+            objective_.termRow(i, &rows_[rows_.size() - kRow]);
+        }
+        return rows_[std::size_t{rowOf_[i]} * kRow + c];
+    }
+
+  private:
+    static constexpr std::size_t kRow = choicesPerFunction();
+    static constexpr std::uint32_t kNoRow = UINT32_MAX;
+
+    const SeparableObjective& objective_;
+    /** Row number of each function, or kNoRow before its first probe. */
+    std::vector<std::uint32_t> rowOf_;
+    std::vector<Term> rows_;
+};
 
 /**
  * Incremental evaluation state: per-function terms plus running sums.
+ * The starting terms come from term(); probes read the table.
  */
 class State
 {
   public:
-    State(const SeparableObjective& objective,
-          const Assignment& assignment)
-        : objective_(objective), assignment_(assignment)
+    State(TermTable& table, const Assignment& assignment)
+        : table_(table), assignment_(assignment)
     {
+        const SeparableObjective& objective = table.objective();
         terms_.resize(assignment.size());
         for (std::size_t i = 0; i < assignment.size(); ++i) {
             terms_[i] = objective.term(i, assignment[i]);
@@ -64,33 +112,33 @@ class State
         return scoreOf(serviceSum_, costSum_);
     }
 
-    /** Score if function `i` switched to `choice`. */
+    /** Score if function `i` switched to choiceSet()[c]. */
     double
-    scoreIf(std::size_t i, const Choice& choice)
+    scoreIf(std::size_t i, std::size_t c)
     {
-        const auto t = objective_.term(i, choice);
+        const Term t = table_.at(i, c);
         ++evaluations_;
         lastTerm_ = t;
         return scoreOf(serviceSum_ - terms_[i].first + t.first,
                        costSum_ - terms_[i].second + t.second);
     }
 
-    /** Commit the most recent scoreIf() probe. */
+    /** Commit the most recent scoreIf() probe, which was of `c`. */
     void
-    apply(std::size_t i, const Choice& choice)
+    apply(std::size_t i, std::size_t c)
     {
         serviceSum_ += lastTerm_.first - terms_[i].first;
         costSum_ += lastTerm_.second - terms_[i].second;
         terms_[i] = lastTerm_;
-        assignment_[i] = choice;
+        assignment_[i] = choiceSet()[c];
     }
 
-    /** Recompute and commit (when lastTerm_ may be stale). */
+    /** Probe and commit (when lastTerm_ may be stale). */
     void
-    set(std::size_t i, const Choice& choice)
+    set(std::size_t i, std::size_t c)
     {
-        scoreIf(i, choice);
-        apply(i, choice);
+        scoreIf(i, c);
+        apply(i, c);
     }
 
     const Assignment& assignment() const { return assignment_; }
@@ -106,27 +154,26 @@ class State
         const std::size_t n = assignment_.size();
         const double service =
             n ? serviceSum / static_cast<double>(n) : 0.0;
-        const double over = costSum - objective_.budget();
+        const double budget = table_.objective().budget();
+        const double over = costSum - budget;
         double penalty = 0.0;
-        if (over > 0.0) {
-            penalty = 1e6 + 1e6 * over /
-                      std::max(objective_.budget(), 1e-9);
-        }
+        if (over > 0.0)
+            penalty = 1e6 + 1e6 * over / std::max(budget, 1e-9);
         return service + penalty + 1e-7 * costSum;
     }
 
-    const SeparableObjective& objective_;
+    TermTable& table_;
     Assignment assignment_;
-    std::vector<std::pair<double, double>> terms_;
+    std::vector<Term> terms_;
     double serviceSum_ = 0.0;
     double costSum_ = 0.0;
     std::size_t evaluations_ = 0;
-    std::pair<double, double> lastTerm_{0.0, 0.0};
+    Term lastTerm_{0.0, 0.0};
 };
 
 /**
  * Steepest-descent over a subset of coordinates; shared by
- * CoordinateDescent (all coordinates) and SRE (sub-problem).
+ * CoordinateDescent (all coordinates) and SRE (repair pass).
  */
 std::size_t
 descend(State& state, const std::vector<std::size_t>& indices,
@@ -137,16 +184,18 @@ descend(State& state, const std::vector<std::size_t>& indices,
         ++rounds;
         double bestScore = state.score();
         std::size_t bestIndex = SIZE_MAX;
-        Choice bestChoice;
+        std::size_t bestChoice = 0;
         for (std::size_t i : indices) {
-            for (const Choice& choice : choiceSet()) {
-                if (choice == state.assignment()[i])
+            const std::size_t current =
+                choiceIndex(state.assignment()[i]);
+            for (std::size_t c = 0; c < choicesPerFunction(); ++c) {
+                if (c == current)
                     continue;
-                const double s = state.scoreIf(i, choice);
+                const double s = state.scoreIf(i, c);
                 if (s < bestScore - 1e-12) {
                     bestScore = s;
                     bestIndex = i;
-                    bestChoice = choice;
+                    bestChoice = c;
                 }
             }
         }
@@ -168,19 +217,18 @@ allIndices(std::size_t n)
 
 /** One sub-problem's proposed coordinate changes. */
 struct SubproblemResult {
-    std::vector<std::pair<std::size_t, Choice>> changes;
+    /** (function, index into choiceSet()) pairs. */
+    std::vector<std::pair<std::size_t, std::size_t>> changes;
     std::size_t evaluations = 0;
 };
 
 /**
  * Steepest descent over a sub-problem against a frozen snapshot of
  * everything else: only the sub-problem's own terms move; the rest of
- * the assignment contributes fixed base sums. Thread-safe: touches
- * only its own indices and the const objective.
+ * the assignment contributes fixed base sums.
  */
 SubproblemResult
-descendSubproblem(const SeparableObjective& objective,
-                  const Assignment& snapshot,
+descendSubproblem(TermTable& table, const Assignment& snapshot,
                   const std::vector<std::size_t>& indices,
                   double baseService, double baseCost,
                   double budgetShare, std::size_t maxRounds)
@@ -190,13 +238,13 @@ descendSubproblem(const SeparableObjective& objective,
     const std::size_t n = snapshot.size();
 
     // Local copies of the sub-problem's choices and terms.
-    std::vector<Choice> local;
-    std::vector<std::pair<double, double>> terms;
+    std::vector<std::size_t> local;
+    std::vector<Term> terms;
     double service = baseService;
     double cost = baseCost;
     for (std::size_t i : indices) {
-        local.push_back(snapshot[i]);
-        terms.push_back(objective.term(i, snapshot[i]));
+        local.push_back(choiceIndex(snapshot[i]));
+        terms.push_back(table.at(i, local.back()));
         ++result.evaluations;
     }
 
@@ -204,8 +252,9 @@ descendSubproblem(const SeparableObjective& objective,
         const double mean =
             n ? serviceSum / static_cast<double>(n) : 0.0;
         // Each sub-problem may only consume its share of the global
-        // budget slack: concurrent sub-problems working against the
-        // same snapshot would otherwise collectively over-commit.
+        // budget slack: the round's sub-problems are merged against
+        // one frozen snapshot, so sub-problems that each spent all of
+        // the slack would together over-commit it.
         const double over = costSum - budgetShare;
         double penalty = 0.0;
         if (over > 0.0) {
@@ -218,14 +267,13 @@ descendSubproblem(const SeparableObjective& objective,
     for (std::size_t round = 0; round < maxRounds; ++round) {
         double bestScore = scoreOf(service, cost);
         std::size_t bestSlot = SIZE_MAX;
-        Choice bestChoice;
-        std::pair<double, double> bestTerm;
+        std::size_t bestChoice = 0;
+        Term bestTerm;
         for (std::size_t slot = 0; slot < indices.size(); ++slot) {
-            for (const Choice& choice : choiceSet()) {
-                if (choice == local[slot])
+            for (std::size_t c = 0; c < choicesPerFunction(); ++c) {
+                if (c == local[slot])
                     continue;
-                const auto t =
-                    objective.term(indices[slot], choice);
+                const Term t = table.at(indices[slot], c);
                 ++result.evaluations;
                 const double s =
                     scoreOf(service - terms[slot].first + t.first,
@@ -233,7 +281,7 @@ descendSubproblem(const SeparableObjective& objective,
                 if (s < bestScore - 1e-12) {
                     bestScore = s;
                     bestSlot = slot;
-                    bestChoice = choice;
+                    bestChoice = c;
                     bestTerm = t;
                 }
             }
@@ -247,7 +295,7 @@ descendSubproblem(const SeparableObjective& objective,
     }
 
     for (std::size_t slot = 0; slot < indices.size(); ++slot) {
-        if (!(local[slot] == snapshot[indices[slot]]))
+        if (local[slot] != choiceIndex(snapshot[indices[slot]]))
             result.changes.emplace_back(indices[slot], local[slot]);
     }
     return result;
@@ -262,6 +310,13 @@ randomChoice(Rng& rng)
 
 } // namespace
 
+const std::vector<Choice>&
+choiceSet()
+{
+    static const std::vector<Choice> set = allChoices();
+    return set;
+}
+
 Assignment
 randomAssignment(std::size_t size, Rng& rng)
 {
@@ -275,7 +330,8 @@ OptimizerResult
 CoordinateDescent::optimize(const SeparableObjective& objective,
                             const Assignment& start, Rng&)
 {
-    State state(objective, start);
+    TermTable table(objective);
+    State state(table, start);
     descend(state, allIndices(objective.size()), maxRounds_);
     return {state.assignment(), state.score(), state.evaluations()};
 }
@@ -284,7 +340,8 @@ OptimizerResult
 NewtonLike::optimize(const SeparableObjective& objective,
                      const Assignment& start, Rng&)
 {
-    State state(objective, start);
+    TermTable table(objective);
+    State state(table, start);
     const std::size_t n = objective.size();
     const int levels = static_cast<int>(keepAliveLevels().size());
     for (std::size_t sweep = 0; sweep < sweeps_; ++sweep) {
@@ -300,9 +357,9 @@ NewtonLike::optimize(const SeparableObjective& objective,
                 Choice a = current, b = current, c = current;
                 a.keepAliveLevel = lo;
                 c.keepAliveLevel = hi;
-                const double fa = state.scoreIf(i, a);
-                const double fb = state.scoreIf(i, b);
-                const double fc = state.scoreIf(i, c);
+                const double fa = state.scoreIf(i, choiceIndex(a));
+                const double fb = state.scoreIf(i, choiceIndex(b));
+                const double fc = state.scoreIf(i, choiceIndex(c));
                 // Vertex of the parabola through three equispaced
                 // points; denominator ~ second derivative.
                 const double denom = fa - 2.0 * fb + fc;
@@ -313,8 +370,9 @@ NewtonLike::optimize(const SeparableObjective& objective,
                     target = std::clamp(target, 0, levels - 1);
                     Choice jump = current;
                     jump.keepAliveLevel = target;
-                    if (state.scoreIf(i, jump) < state.score()) {
-                        state.set(i, jump);
+                    if (state.scoreIf(i, choiceIndex(jump)) <
+                        state.score()) {
+                        state.set(i, choiceIndex(jump));
                         current = jump;
                     }
                 }
@@ -331,8 +389,9 @@ NewtonLike::optimize(const SeparableObjective& objective,
                 } else {
                     flip.snapshot = !flip.snapshot;
                 }
-                if (state.scoreIf(i, flip) < state.score()) {
-                    state.set(i, flip);
+                if (state.scoreIf(i, choiceIndex(flip)) <
+                    state.score()) {
+                    state.set(i, choiceIndex(flip));
                     current = flip;
                 }
             }
@@ -415,7 +474,8 @@ OptimizerResult
 SimulatedAnnealing::optimize(const SeparableObjective& objective,
                              const Assignment& start, Rng& rng)
 {
-    State state(objective, start);
+    TermTable table(objective);
+    State state(table, start);
     if (objective.size() == 0)
         return {state.assignment(), state.score(),
                 state.evaluations()};
@@ -427,8 +487,8 @@ SimulatedAnnealing::optimize(const SeparableObjective& objective,
 
     for (std::size_t step = 0; step < steps_; ++step) {
         const std::size_t i = rng.next() % objective.size();
-        const Choice proposal = set[rng.next() % set.size()];
-        if (proposal == state.assignment()[i])
+        const std::size_t proposal = rng.next() % set.size();
+        if (set[proposal] == state.assignment()[i])
             continue;
         const double current = state.score();
         const double candidate = state.scoreIf(i, proposal);
@@ -451,14 +511,15 @@ OptimizerResult
 RandomSearch::optimize(const SeparableObjective& objective,
                        const Assignment& start, Rng& rng)
 {
-    State best(objective, start);
+    TermTable table(objective);
+    State best(table, start);
     double bestScore = best.score();
     Assignment bestAssignment = best.assignment();
     std::size_t evaluations = best.evaluations();
     for (std::size_t s = 0; s < samples_; ++s) {
         const Assignment candidate =
             randomAssignment(objective.size(), rng);
-        State state(objective, candidate);
+        State state(table, candidate);
         evaluations += state.evaluations();
         if (state.score() < bestScore) {
             bestScore = state.score();
@@ -479,7 +540,8 @@ BruteForce::optimize(const SeparableObjective& objective,
     const auto& set = choiceSet();
     Assignment current(n, set[0]);
     Assignment best = start;
-    State startState(objective, start);
+    TermTable table(objective);
+    State startState(table, start);
     double bestScore = startState.score();
     std::size_t evaluations = startState.evaluations();
 
@@ -488,7 +550,7 @@ BruteForce::optimize(const SeparableObjective& objective,
     while (true) {
         for (std::size_t i = 0; i < n; ++i)
             current[i] = set[odometer[i]];
-        State state(objective, current);
+        State state(table, current);
         evaluations += state.evaluations();
         if (state.score() < bestScore) {
             bestScore = state.score();
@@ -514,11 +576,10 @@ LagrangianOracle::optimize(const SeparableObjective& objective,
     std::size_t evaluations = 0;
 
     // Cache all terms once.
-    std::vector<std::vector<std::pair<double, double>>> terms(n);
+    std::vector<std::vector<Term>> terms(n);
     for (std::size_t i = 0; i < n; ++i) {
-        terms[i].reserve(set.size());
-        for (const auto& choice : set)
-            terms[i].push_back(objective.term(i, choice));
+        terms[i].resize(set.size());
+        objective.termRow(i, terms[i].data());
         evaluations += set.size();
     }
 
@@ -559,8 +620,9 @@ LagrangianOracle::optimize(const SeparableObjective& objective,
         solveFor(hi, assignment);
     }
 
-    State state(objective, assignment);
-    State startState(objective, start);
+    TermTable table(objective);
+    State state(table, assignment);
+    State startState(table, start);
     if (startState.score() < state.score()) {
         return {startState.assignment(), startState.score(),
                 evaluations + startState.evaluations()};
@@ -586,7 +648,10 @@ SreOptimizer::optimizeWithCounts(const SeparableObjective& objective,
     if (counts.size() != n)
         panic("SreOptimizer: counts size ", counts.size(),
               " != objective size ", n);
-    State state(objective, start);
+    // One table for the whole call: a function sampled in both rounds
+    // has its row filled once.
+    TermTable table(objective);
+    State state(table, start);
     if (n == 0)
         return {state.assignment(), state.score(), 0};
 
@@ -663,7 +728,7 @@ SreOptimizer::optimizeWithCounts(const SeparableObjective& objective,
             CC_PHASE("sre.subproblems");
             for (std::size_t s = 0; s < subproblems.size(); ++s) {
                 results[s] = descendSubproblem(
-                    objective, snapshot, subproblems[s], baseService,
+                    table, snapshot, subproblems[s], baseService,
                     baseCost, budgetShare, config_.innerRounds);
             }
         }

@@ -18,6 +18,13 @@
 namespace codecrunch::opt {
 
 /**
+ * Every Choice, enumerated once: the snapshot bit outermost, then
+ * compress, then architecture, with the keep-alive level innermost.
+ * Has choicesPerFunction() entries.
+ */
+const std::vector<Choice>& choiceSet();
+
+/**
  * Objective with per-function decomposition. evaluate()/cost() are the
  * sums of term() over all functions (divided by N for the mean service
  * time).
@@ -29,6 +36,19 @@ class SeparableObjective : public Objective
      * function under one choice. */
     virtual std::pair<double, double>
     term(std::size_t index, const Choice& choice) const = 0;
+
+    /**
+     * Every term of function `index`, in choiceSet() order: `out` must
+     * hold choicesPerFunction() entries. Each entry must equal term()
+     * for its choice bit for bit. An override may share work across
+     * the row that term() repeats per choice.
+     */
+    virtual void
+    termRow(std::size_t index, std::pair<double, double>* out) const
+    {
+        for (const Choice& choice : choiceSet())
+            *out++ = term(index, choice);
+    }
 
     double
     evaluate(const Assignment& assignment) const override
@@ -58,7 +78,10 @@ struct OptimizerResult {
     Assignment assignment;
     /** Objective::score of the assignment. */
     double score = 0.0;
-    /** Number of per-function term evaluations performed. */
+    /**
+     * Number of per-function term probes performed; a probe served
+     * from a filled term row counts like one that computes the term.
+     */
     std::size_t evaluations = 0;
 };
 

@@ -1,18 +1,23 @@
 /**
  * @file
  * CodeCrunch core tests: the P_est estimator, the budget creditor, the
- * interval objective's probabilistic warm/cost model, observed-stat
- * estimation, and the policy's configuration surface.
+ * interval objective's probabilistic warm/cost model and its term rows,
+ * SRE and descent against their table-less reference
+ * (legacy_sre.hpp), observed-stat estimation, and the policy's
+ * configuration surface.
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/budget.hpp"
 #include "core/codecrunch.hpp"
 #include "core/interval_objective.hpp"
 #include "core/observed_stats.hpp"
 #include "core/pest.hpp"
+#include "legacy_sre.hpp"
 
 using namespace codecrunch;
 using namespace codecrunch::core;
@@ -309,6 +314,167 @@ TEST(IntervalObjective, UnknownPestGetsMildPrior)
         2.0 + (1.0 - 0.3 * (1.0 - std::exp(-3600.0 / 900.0))) * 3.0;
     EXPECT_NEAR(objective.term(0, choiceWith(top)).first, expected,
                 1e-6);
+}
+
+// --- Term rows and the table-less reference ----------------------------------
+
+namespace {
+
+std::uint64_t
+bitsOf(double value)
+{
+    return std::bit_cast<std::uint64_t>(value);
+}
+
+/**
+ * A seeded estimate with realistic magnitudes that hits every branch
+ * of the term formula: unknown pest, sigma below the floor of 1, no
+ * snapshot image, a compressed size above the raw one, and weights on
+ * both sides of 1.
+ */
+FunctionEstimate
+randomEstimate(Rng& rng)
+{
+    FunctionEstimate e;
+    e.pest = rng.bernoulli(0.2) ? -1.0 : rng.uniform(5.0, 5000.0);
+    e.sigma = rng.bernoulli(0.2) ? rng.uniform(0.0, 1.0)
+                                 : rng.uniform(1.0, 1200.0);
+    for (int arch = 0; arch < kNumNodeTypes; ++arch) {
+        e.exec[arch] = rng.uniform(0.05, 20.0);
+        e.coldStart[arch] = rng.uniform(0.2, 8.0);
+        e.decompress[arch] = rng.uniform(0.01, 2.0);
+        e.restore[arch] = rng.uniform(0.1, 9.0);
+    }
+    e.memoryMb = rng.uniform(64.0, 3000.0);
+    e.compressedMb = e.memoryMb * rng.uniform(0.2, 1.1);
+    e.snapshotMb = rng.bernoulli(0.3) ? 0.0 : rng.uniform(10.0, 2000.0);
+    e.warmBaseline = e.exec[0] * rng.uniform(0.8, 1.5);
+    e.weight = rng.bernoulli(0.3) ? 1.0 : rng.uniform(0.05, 60.0);
+    return e;
+}
+
+const double kSnapshotRates[kNumNodeTypes] = {4.1e-8, 2.9e-8};
+
+} // namespace
+
+TEST(IntervalObjective, TermRowMatchesTermBitForBit)
+{
+    // The restriction matrix: every axis allowed, then each of the
+    // four turned off in turn; SLA slack off and on; no price and a
+    // priced cost.
+    std::vector<ChoiceRestrictions> matrix;
+    for (int off = -1; off < 4; ++off) {
+        for (const double slack : {-1.0, 0.1}) {
+            for (const double price : {0.0, 1e4}) {
+                ChoiceRestrictions r;
+                r.allowCompression = off != 0;
+                r.allowX86 = off != 1;
+                r.allowArm = off != 2;
+                r.allowSnapshot = off != 3;
+                r.slaSlack = slack;
+                r.costWeight = price;
+                matrix.push_back(r);
+            }
+        }
+    }
+    Rng rng(20);
+    std::vector<FunctionEstimate> estimates = {basicEstimate()};
+    for (int i = 0; i < 200; ++i)
+        estimates.push_back(randomEstimate(rng));
+
+    // One entry past the row holds a sentinel the fill must not touch.
+    const std::pair<double, double> sentinel{-7.0, -7.0};
+    std::vector<std::pair<double, double>> row(
+        opt::choicesPerFunction() + 1, sentinel);
+    for (const ChoiceRestrictions& restrictions : matrix) {
+        const IntervalObjective objective(estimates, kRates, 1.0,
+                                          restrictions, kSnapshotRates);
+        for (std::size_t i = 0; i < estimates.size(); ++i) {
+            objective.termRow(i, row.data());
+            for (std::size_t c = 0; c < opt::choicesPerFunction(); ++c) {
+                const auto term = objective.term(i, opt::choiceSet()[c]);
+                ASSERT_EQ(bitsOf(row[c].first), bitsOf(term.first))
+                    << "function " << i << " choice " << c;
+                ASSERT_EQ(bitsOf(row[c].second), bitsOf(term.second))
+                    << "function " << i << " choice " << c;
+            }
+            ASSERT_EQ(bitsOf(row.back().first), bitsOf(sentinel.first));
+        }
+    }
+}
+
+TEST(SreDifferential, MatchesLegacyBitForBit)
+{
+    // Seeded interval problems on both budget paths: a finite budget
+    // a third of the start's cost, so the over-commit penalty is live
+    // (fig03's path), and CodeCrunch's unbounded budget with a priced
+    // cost.
+    std::size_t problems = 0;
+    for (std::uint64_t seed = 1; seed <= 26; ++seed) {
+        for (const std::size_t n : {1, 8, 30, 200}) {
+            for (const bool priced : {false, true}) {
+                Rng rng(seed * 7919 + n * 2 + (priced ? 1 : 0));
+                std::vector<FunctionEstimate> estimates;
+                for (std::size_t i = 0; i < n; ++i)
+                    estimates.push_back(randomEstimate(rng));
+                ChoiceRestrictions restrictions;
+                restrictions.allowCompression = !rng.bernoulli(0.15);
+                restrictions.allowSnapshot = !rng.bernoulli(0.15);
+                restrictions.allowArm = !rng.bernoulli(0.15);
+                restrictions.slaSlack = rng.bernoulli(0.3) ? 0.2 : -1.0;
+                if (priced) {
+                    restrictions.costWeight =
+                        std::pow(10.0, rng.uniform(2.0, 6.0));
+                }
+                const opt::Assignment start =
+                    rng.bernoulli(0.25)
+                        ? opt::Assignment(n, opt::Choice{})
+                        : opt::randomAssignment(n, rng);
+                const Dollars startCost =
+                    IntervalObjective(estimates, kRates, 1.0,
+                                      restrictions, kSnapshotRates)
+                        .cost(start);
+                const Dollars budget =
+                    priced ? 1e18 : std::max(startCost / 3.0, 1e-6);
+                const IntervalObjective objective(
+                    estimates, kRates, budget, restrictions,
+                    kSnapshotRates);
+                std::vector<std::uint32_t> counts(n);
+                for (auto& count : counts)
+                    count = static_cast<std::uint32_t>(rng.next() % 4);
+
+                SCOPED_TRACE(testing::Message()
+                             << "seed " << seed << " n " << n
+                             << (priced ? " priced" : " finite"));
+                auto expectSame = [](const opt::OptimizerResult& now,
+                                     const opt::OptimizerResult& then) {
+                    EXPECT_TRUE(now.assignment == then.assignment);
+                    EXPECT_EQ(bitsOf(now.score), bitsOf(then.score));
+                    EXPECT_EQ(now.evaluations, then.evaluations);
+                };
+
+                const opt::SreConfig config;
+                Rng rngNow(seed), rngThen(seed);
+                std::vector<std::uint32_t> countsNow = counts;
+                std::vector<std::uint32_t> countsThen = counts;
+                expectSame(opt::SreOptimizer(config).optimizeWithCounts(
+                               objective, start, rngNow, countsNow),
+                           opt::legacy::sreOptimizeWithCounts(
+                               config, objective, start, rngThen,
+                               countsThen));
+                EXPECT_EQ(countsNow, countsThen);
+                EXPECT_EQ(rngNow.next(), rngThen.next());
+
+                // CodeCrunch's -noSRE path.
+                expectSame(opt::CoordinateDescent(2).optimize(
+                               objective, start, rngNow),
+                           opt::legacy::coordinateDescent(objective,
+                                                          start, 2));
+                ++problems;
+            }
+        }
+    }
+    EXPECT_GE(problems, 200u);
 }
 
 // --- ObservedStats ----------------------------------------------------------------

@@ -339,6 +339,25 @@ class SyntheticObjective : public SeparableObjective
     double budget_;
 };
 
+/** Counts termRow() calls per function. */
+class RowCountingObjective : public SyntheticObjective
+{
+  public:
+    RowCountingObjective(std::size_t n, double budget)
+        : SyntheticObjective(n, budget), rowFills(n, 0)
+    {
+    }
+
+    void
+    termRow(std::size_t i, std::pair<double, double>* out) const override
+    {
+        ++rowFills[i];
+        SyntheticObjective::termRow(i, out);
+    }
+
+    mutable std::vector<std::uint32_t> rowFills;
+};
+
 double
 scoreOf(const SeparableObjective& objective, const Assignment& a)
 {
@@ -472,6 +491,41 @@ TEST(Optimizers, SreCountsIncreaseFairly)
     for (std::size_t i = 20; i < 40; ++i)
         pickedLow += biased[i];
     EXPECT_GT(pickedLow, pickedHigh);
+}
+
+TEST(Optimizers, SreFillsEachRowOnce)
+{
+    // Two rounds over half of the functions each: some functions are
+    // sampled in both rounds and some in neither. Every sampled
+    // function is probed, and no other function is.
+    RowCountingObjective objective(40, 0.5);
+    SreOptimizer::Config config;
+    config.coveragePerRound = 0.5;
+    SreOptimizer sre(config);
+    std::vector<std::uint32_t> counts(40, 0);
+    Rng rng(21);
+    sre.optimizeWithCounts(objective, Assignment(40, Choice{}), rng,
+                           counts);
+    std::size_t twice = 0, never = 0;
+    for (std::size_t i = 0; i < 40; ++i) {
+        EXPECT_EQ(objective.rowFills[i], counts[i] > 0 ? 1u : 0u)
+            << "function " << i << " sampled " << counts[i] << "x";
+        twice += counts[i] == 2;
+        never += counts[i] == 0;
+    }
+    EXPECT_GT(twice, 0u);
+    EXPECT_GT(never, 0u);
+
+    // Whole-space descent probes every function; each row is still
+    // filled once per optimize() call.
+    RowCountingObjective all(12, 0.5);
+    CoordinateDescent descent(3);
+    descent.optimize(all, Assignment(12, Choice{}), rng);
+    for (std::size_t i = 0; i < 12; ++i)
+        EXPECT_EQ(all.rowFills[i], 1u) << "function " << i;
+    descent.optimize(all, Assignment(12, Choice{}), rng);
+    for (std::size_t i = 0; i < 12; ++i)
+        EXPECT_EQ(all.rowFills[i], 2u) << "function " << i;
 }
 
 TEST(Optimizers, NewtonImprovesFromRandomStart)
