@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/logging.hpp"
@@ -10,6 +11,18 @@
 namespace codecrunch::opt {
 
 namespace {
+
+/**
+ * dominantBin() takes std::abs only of bins whose norm is at least
+ * (1 - kScreenMargin) times the largest; 2^-40 is about 4,500 ulp.
+ */
+constexpr double kScreenMargin = 0x1p-40;
+
+/**
+ * Below this largest norm the screen is off: norms near the subnormal
+ * range lose the relative accuracy its margin relies on.
+ */
+constexpr double kScreenMinNorm = 0x1p-900;
 
 bool
 isPow2(std::size_t n)
@@ -51,6 +64,7 @@ Fft::Fft(std::size_t n) : data_(n)
     }
     forwardTwiddles_ = stageTwiddles(n, false);
     inverseTwiddles_ = stageTwiddles(n, true);
+    norm_.resize(n / 2);
     magnitude_.resize(n / 2);
     order_.resize(n / 2 > 1 ? n / 2 - 1 : 0);
 }
@@ -95,24 +109,49 @@ Fft::dominantBin()
     const std::size_t half = data_.size() / 2;
     if (half < 2)
         return 0;
-    // One hypot per bin. A strict maximum is what a sort by
-    // descending magnitude puts first, so only a tie needs the sort.
-    std::size_t best = 1;
-    bool tied = false;
-    magnitude_[1] = std::abs(data_[1]);
-    for (std::size_t i = 2; i < half; ++i) {
-        magnitude_[i] = std::abs(data_[i]);
-        if (magnitude_[i] > magnitude_[best]) {
-            best = i;
-            tied = false;
-        } else if (magnitude_[i] == magnitude_[best]) {
-            tied = true;
-        }
+    // Squared magnitudes cost two multiplies where std::abs costs a
+    // hypot, so they screen which bins need one.
+    double top = 0.0;
+    bool finite = true;
+    for (std::size_t i = 1; i < half; ++i) {
+        norm_[i] = std::norm(data_[i]);
+        top = std::max(top, norm_[i]);
+        finite = finite && std::isfinite(norm_[i]);
     }
-    if (!tied)
-        return best;
-    // Sorting the cached magnitudes makes the same comparisons as a
-    // sort with a std::abs comparator, so it picks the same bin.
+    if (finite) {
+        // A norm is within ~3 ulp of |z|^2 and glibc's hypot within
+        // 1 ulp of |z|, so every bin that std::abs ranks first, or
+        // ties with it, has a norm within ~16 ulp of the largest: far
+        // inside the margin. Norms near the subnormal range lose that
+        // accuracy, so then no bin is screened out.
+        const double floor = top >= kScreenMinNorm
+            ? top * (1.0 - kScreenMargin)
+            : -std::numeric_limits<double>::infinity();
+        // The pick is made on std::abs values. A strict maximum is
+        // what a sort by descending magnitude puts first, so only a
+        // tie needs the sort.
+        std::size_t best = 0;
+        bool tied = false;
+        for (std::size_t i = 1; i < half; ++i) {
+            if (norm_[i] < floor)
+                continue;
+            magnitude_[i] = std::abs(data_[i]);
+            if (best == 0 || magnitude_[i] > magnitude_[best]) {
+                best = i;
+                tied = false;
+            } else if (magnitude_[i] == magnitude_[best]) {
+                tied = true;
+            }
+        }
+        if (!tied)
+            return best;
+    }
+    // A tie, or a non-finite norm: a NaN magnitude leaves the pick to
+    // the sort's own sequence of comparisons. Sorting the magnitudes
+    // of every bin makes the same comparisons as a sort with a
+    // std::abs comparator, so it picks the same bin.
+    for (std::size_t i = 1; i < half; ++i)
+        magnitude_[i] = std::abs(data_[i]);
     std::iota(order_.begin(), order_.end(), std::size_t{1});
     std::sort(order_.begin(), order_.end(),
               [&](std::size_t a, std::size_t b) {

@@ -43,10 +43,12 @@ class Fft
 
     /**
      * The strongest non-DC bin in the first half of the spectrum held
-     * in data(), or 0 when there is none (fewer than 4 points). An
-     * exact tie at the top goes to the bin that std::sort, ordering
-     * the bins by descending magnitude, puts first; the goldens were
-     * generated with that pick.
+     * in data(), or 0 when there is none (fewer than 4 points).
+     * Strength is std::abs, but std::abs is taken only for bins whose
+     * squared magnitude comes close enough to the largest to hold the
+     * maximum. An exact tie at the top goes to the bin that std::sort,
+     * ordering the bins by descending magnitude, puts first; the
+     * goldens were generated with that pick.
      */
     std::size_t dominantBin();
 
@@ -67,7 +69,12 @@ class Fft
      */
     std::vector<Complex> forwardTwiddles_;
     std::vector<Complex> inverseTwiddles_;
-    /** dominantBin() scratch: |data()[i]| and the tie-break order. */
+    /**
+     * dominantBin() scratch: std::norm of every bin, std::abs of the
+     * bins that pass the norm screen (of every bin on a tie), and the
+     * tie-break order.
+     */
+    std::vector<double> norm_;
     std::vector<double> magnitude_;
     std::vector<std::size_t> order_;
 };

@@ -65,6 +65,10 @@ IceBreaker::onTick(Seconds now)
             config_.minSamples) {
             continue;
         }
+        // Checked before the spectrum, which only this function's
+        // prewarm decision reads.
+        if (context_->clusterState().warmCount(function) > 0)
+            continue; // already warm
         double confidence = 0.0;
         const Seconds period = dominantPeriod(h, now, confidence);
         if (period <= 0.0)
@@ -77,8 +81,6 @@ IceBreaker::onTick(Seconds now)
         const Seconds lead = predicted - now;
         if (lead > config_.prewarmLead + kSecondsPerMinute)
             continue; // not due yet; re-examined next tick
-        if (context_->clusterState().warmCount(function) > 0)
-            continue; // already warm
         // High re-invocation probability -> fast (x86) node; low ->
         // cheap (ARM) node. This is IceBreaker's probability split.
         const NodeType target = confidence >= config_.fastNodeThreshold

@@ -15,10 +15,11 @@
  * The per-tick spectral analysis of every active function is what gives
  * IceBreaker its high decision overhead (paper Sec. 5 reports ~30% of
  * service time). Every tick still computes a full spectrum for every
- * function with at least `minSamples` invocations in its window, so the
- * overhead stays an O(pool) sweep per tick; only the constant factor
- * is cut, by one reusable FFT plan whose buffer the minute series is
- * written into and a single-pass dominant-bin search.
+ * function that has at least `minSamples` invocations in its window
+ * and no warm container, so the overhead stays an O(pool) sweep per
+ * tick; only the constant factor is cut, by one reusable FFT plan
+ * whose buffer the minute series is written into and a dominant-bin
+ * search that takes a magnitude only of bins that can hold the peak.
  */
 #pragma once
 

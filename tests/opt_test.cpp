@@ -11,7 +11,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
+#include <vector>
 
 #include "legacy_fft.hpp"
 #include "opt/fft.hpp"
@@ -263,6 +265,127 @@ TEST(FftDifferential, PlanMatchesLegacyBitForBit)
     // The sort's pick is not simply the lowest tied bin, so the
     // fallback cannot be replaced by a plain argmax.
     EXPECT_GT(tiesPastLowest, 0u);
+}
+
+// --- the dominant bin's norm screen on crafted spectra -----------------------
+
+namespace {
+
+enum class SpectrumKind {
+    /** A few top bins built from one (a, b) pair over smaller noise. */
+    NearTies,
+    Zero,
+    /** Near ties around and below the screen's 2^-900 norm cutoff. */
+    Tiny,
+    /** Near ties plus bins holding ±inf or NaN. */
+    NonFinite,
+    Count
+};
+
+/** A bin whose std::abs equals, or is a few ulp from, hypot(a, b). */
+Complex
+nearTieOf(Rng& rng, double a, double b)
+{
+    double x = a, y = b;
+    switch (rng.next() % 4) {
+    case 0: // swapped components: an exact std::abs tie
+        std::swap(x, y);
+        break;
+    case 1: { // one component moved by 1-4 ulp
+        double& part = rng.bernoulli(0.5) ? x : y;
+        const double toward = rng.bernoulli(0.5) ? 0.0 : HUGE_VAL;
+        for (auto step = rng.uniformInt(1, 4); step > 0; --step)
+            part = std::nextafter(part, toward);
+        break;
+    }
+    case 2: { // the same radius at another angle
+        const double radius = std::hypot(a, b);
+        const double angle = rng.uniform(0.0, 2.0 * M_PI);
+        x = radius * std::cos(angle);
+        y = radius * std::sin(angle);
+        break;
+    }
+    default: // the pair itself
+        break;
+    }
+    return {rng.bernoulli(0.5) ? -x : x, rng.bernoulli(0.5) ? -y : y};
+}
+
+/** One seeded length-kSeriesLength spectrum of `kind`. */
+std::vector<Complex>
+craftedSpectrum(Rng& rng, SpectrumKind kind)
+{
+    std::vector<Complex> spectrum(kSeriesLength);
+    if (kind == SpectrumKind::Zero)
+        return spectrum;
+    // Norms overflow above 2^512; the screen is off below 2^-450.
+    const double scale = std::ldexp(
+        1.0, static_cast<int>(kind == SpectrumKind::Tiny
+                                  ? rng.uniformInt(-1070, -440)
+                                  : rng.uniformInt(-440, 520)));
+    for (auto& bin : spectrum)
+        bin = {scale * rng.uniform(-0.5, 0.5),
+               scale * rng.uniform(-0.5, 0.5)};
+    const auto anyBin = [&] {
+        return 1 + static_cast<std::size_t>(rng.next() %
+                                            (kSeriesLength / 2 - 1));
+    };
+    const double a = scale * rng.uniform(1.0, 2.0);
+    const double b = scale * rng.uniform(0.0, 1.0);
+    for (auto top = rng.uniformInt(2, 6); top > 0; --top)
+        spectrum[anyBin()] = nearTieOf(rng, a, b);
+    if (kind == SpectrumKind::NonFinite) {
+        constexpr double kParts[] = {
+            HUGE_VAL, -HUGE_VAL, std::numeric_limits<double>::quiet_NaN()};
+        for (auto bins = rng.uniformInt(1, 3); bins > 0; --bins) {
+            const double part = kParts[rng.next() % std::size(kParts)];
+            spectrum[anyBin()] =
+                rng.bernoulli(0.5) ? Complex(part, b) : Complex(a, part);
+        }
+    }
+    return spectrum;
+}
+
+} // namespace
+
+TEST(FftDifferential, DominantBinMatchesLegacyOnNearTies)
+{
+    constexpr std::size_t kSpectra = 8000;
+    const auto kinds = static_cast<std::size_t>(SpectrumKind::Count);
+    Rng rng(2026);
+    Fft fft(kSeriesLength);
+    std::size_t exactTies = 0;
+    std::size_t normInversions = 0;
+    for (std::size_t s = 0; s < kSpectra; ++s) {
+        const auto kind = static_cast<SpectrumKind>(s % kinds);
+        const auto spectrum = craftedSpectrum(rng, kind);
+        std::copy(spectrum.begin(), spectrum.end(), fft.data().begin());
+        ASSERT_EQ(fft.dominantBin(), legacy::dominantBins(spectrum, 3)[0])
+            << "spectrum " << s << " (kind " << static_cast<int>(kind)
+            << ")";
+
+        // What the screen is up against: bins tied at the top, and a
+        // largest norm that is not the largest std::abs.
+        double top = -1.0, topNorm = -1.0;
+        std::size_t atTop = 0, largestNorm = 0;
+        for (std::size_t i = 1; i < kSeriesLength / 2; ++i) {
+            const double magnitude = std::abs(spectrum[i]);
+            if (magnitude > top) {
+                top = magnitude;
+                atTop = 1;
+            } else if (magnitude == top) {
+                ++atTop;
+            }
+            if (std::norm(spectrum[i]) > topNorm) {
+                topNorm = std::norm(spectrum[i]);
+                largestNorm = i;
+            }
+        }
+        exactTies += atTop > 1;
+        normInversions += std::abs(spectrum[largestNorm]) < top;
+    }
+    EXPECT_GT(exactTies, 0u);
+    EXPECT_GT(normInversions, 0u);
 }
 
 // --- choice grid -----------------------------------------------------------

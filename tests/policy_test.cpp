@@ -8,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "obs/profiler.hpp"
 #include "policy/enhanced.hpp"
 #include "policy/faascache.hpp"
 #include "policy/fixed_keepalive.hpp"
@@ -352,6 +354,28 @@ TEST(FaasCache, DeclinesWhenNodeHasNoWarmContainers)
 
 // --- IceBreaker ------------------------------------------------------------------
 
+namespace {
+
+/** Runs one IceBreaker tick and counts the FFTs it ran. */
+std::uint64_t
+spectraComputedByTick(IceBreaker& policy, Seconds now)
+{
+    auto& profiler = obs::Profiler::global();
+    profiler.reset();
+    profiler.setEnabled(true);
+    policy.onTick(now);
+    profiler.setEnabled(false);
+    std::uint64_t transforms = 0;
+    for (const auto& phase : profiler.report().children) {
+        if (phase.name == "fft.transform")
+            transforms += phase.calls;
+    }
+    profiler.reset();
+    return transforms;
+}
+
+} // namespace
+
 TEST(IceBreaker, ShortKeepAliveAfterExecution)
 {
     FakeContext context;
@@ -374,7 +398,7 @@ TEST(IceBreaker, PrewarmsPeriodicFunctionBeforePrediction)
     }
     // Just before the next predicted invocation (t + 8 min).
     context.now_ = t + 7.5 * 60.0;
-    policy.onTick(context.now_);
+    EXPECT_EQ(spectraComputedByTick(policy, context.now_), 1u);
     ASSERT_GE(context.prewarms.size(), 1u);
     EXPECT_EQ(context.prewarms[0].function, 0u);
 }
@@ -403,7 +427,8 @@ TEST(IceBreaker, NoPrewarmWhenAlreadyWarm)
     context.cluster_.addWarm(
         0, 0, context.workload_.profile(0).memoryMb, false, t);
     context.now_ = t + 7.5 * 60.0;
-    policy.onTick(context.now_);
+    // The warm check runs first: a warm function's spectrum is unread.
+    EXPECT_EQ(spectraComputedByTick(policy, context.now_), 0u);
     EXPECT_TRUE(context.prewarms.empty());
 }
 
