@@ -11,6 +11,12 @@ namespace codecrunch::dist {
 
 namespace {
 
+/**
+ * Largest raw/packed ratio of an LZ4 block: a match sequence turns at
+ * least 3 + k input bytes into at most 19 + 255k output bytes.
+ */
+constexpr std::uint64_t kLz4MaxExpansion = 255;
+
 const compress::Lz4Codec&
 codec()
 {
@@ -52,6 +58,13 @@ decompressFrameBody(std::string_view body)
         throw FramingError("compressed frame claims raw size " +
                            std::to_string(rawSize));
     const std::string_view packedView = body.substr(8);
+    // A claim beyond LZ4's expansion ceiling is corrupt: refuse it
+    // before the decoder reserves it.
+    if (rawSize > kLz4MaxExpansion * packedView.size())
+        throw FramingError("compressed frame claims raw size " +
+                           std::to_string(rawSize) + " from " +
+                           std::to_string(packedView.size()) +
+                           " packed bytes");
     const compress::Bytes packed(packedView.begin(),
                                  packedView.end());
     const auto raw = codec().decompress(

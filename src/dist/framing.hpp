@@ -26,7 +26,8 @@
  * complete frames. The master runs one parser per worker connection
  * inside its poll loop; the worker wraps the same parser in a blocking
  * read helper (worker.cpp). Malformed input (bad length, unknown
- * codec byte, corrupt compressed body) throws FramingError — the
+ * codec byte, corrupt compressed body, a raw size above 255 times the
+ * packed size, which no LZ4 block reaches) throws FramingError — the
  * connection is then dropped, never "resynchronized".
  */
 #pragma once

@@ -7,7 +7,7 @@
 #pragma once
 
 #include <algorithm>
-#include <complex>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <span>
@@ -115,20 +115,20 @@ class FunctionHistory
 
     /**
      * Per-minute invocation counts for the `window` minutes ending at
-     * minute `nowMinute`, written as real values to the front of `out`
-     * (zero where nothing was recorded). The rest of `out` is zeroed,
-     * so a power-of-two `out` is a zero-padded FFT input.
+     * minute `nowMinute`, written to the front of `out` (zero where
+     * nothing was recorded). The rest of `out` is zeroed, so a
+     * power-of-two `out` is a zero-padded FFT input.
      */
     void
     minuteSeries(std::int64_t nowMinute, std::size_t window,
-                 std::span<std::complex<double>> out) const
+                 std::span<double> out) const
     {
         if (out.size() < window) {
             panic("FunctionHistory: ", out.size(),
                   "-entry series is shorter than its ", window,
                   "-minute window");
         }
-        std::fill(out.begin(), out.end(), std::complex<double>());
+        std::fill(out.begin(), out.end(), 0.0);
         for (const auto& [minute, count] : minuteCounts_) {
             const std::int64_t offset =
                 minute - (nowMinute - static_cast<std::int64_t>(window) +
@@ -136,7 +136,7 @@ class FunctionHistory
             if (offset >= 0 &&
                 offset < static_cast<std::int64_t>(window)) {
                 out[static_cast<std::size_t>(offset)] =
-                    std::complex<double>(static_cast<double>(count), 0.0);
+                    static_cast<double>(count);
             }
         }
     }

@@ -1,7 +1,5 @@
 #include "policy/icebreaker.hpp"
 
-#include <cmath>
-
 #include "obs/trace.hpp"
 
 namespace codecrunch::policy {
@@ -30,31 +28,6 @@ IceBreaker::onFinish(const metrics::InvocationRecord&)
     return decision;
 }
 
-Seconds
-IceBreaker::dominantPeriod(const FunctionHistory& h, Seconds now,
-                           double& confidence)
-{
-    const std::int64_t nowMinute =
-        static_cast<std::int64_t>(now / kSecondsPerMinute);
-    const auto spectrum = fft_.data();
-    h.minuteSeries(nowMinute, config_.windowMinutes, spectrum);
-    fft_.forward();
-    const std::size_t bin = fft_.dominantBin();
-    confidence = 0.0;
-    if (bin == 0)
-        return -1.0;
-    // Confidence: dominant peak's share of the non-DC spectral energy.
-    double energy = 0.0;
-    for (std::size_t i = 1; i < spectrum.size() / 2; ++i)
-        energy += std::norm(spectrum[i]);
-    if (energy <= 0.0)
-        return -1.0;
-    confidence = std::norm(spectrum[bin]) / energy;
-    const double periodMinutes =
-        static_cast<double>(spectrum.size()) / static_cast<double>(bin);
-    return periodMinutes * kSecondsPerMinute;
-}
-
 void
 IceBreaker::onTick(Seconds now)
 {
@@ -69,10 +42,14 @@ IceBreaker::onTick(Seconds now)
         // prewarm decision reads.
         if (context_->clusterState().warmCount(function) > 0)
             continue; // already warm
-        double confidence = 0.0;
-        const Seconds period = dominantPeriod(h, now, confidence);
-        if (period <= 0.0)
-            continue;
+        h.minuteSeries(nowMinute, config_.windowMinutes, fft_.series());
+        fft_.forward();
+        const std::size_t bin = fft_.dominantBin();
+        if (bin == 0)
+            continue; // no peak to take a period from
+        const double periodMinutes =
+            static_cast<double>(fft_.size()) / static_cast<double>(bin);
+        const Seconds period = periodMinutes * kSecondsPerMinute;
         // Predicted next invocation: last arrival plus the dominant
         // period, advanced into the future if already stale.
         Seconds predicted = h.lastArrival() + period;
@@ -81,6 +58,13 @@ IceBreaker::onTick(Seconds now)
         const Seconds lead = predicted - now;
         if (lead > config_.prewarmLead + kSecondsPerMinute)
             continue; // not due yet; re-examined next tick
+        // Confidence: the dominant peak's share of the non-DC spectral
+        // energy. Only a due prediction reads it, so only it sums the
+        // energy.
+        const double energy = fft_.energy();
+        if (energy <= 0.0)
+            continue;
+        const double confidence = fft_.norm(bin) / energy;
         // High re-invocation probability -> fast (x86) node; low ->
         // cheap (ARM) node. This is IceBreaker's probability split.
         const NodeType target = confidence >= config_.fastNodeThreshold

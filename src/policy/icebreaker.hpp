@@ -14,12 +14,14 @@
  *
  * The per-tick spectral analysis of every active function is what gives
  * IceBreaker its high decision overhead (paper Sec. 5 reports ~30% of
- * service time). Every tick still computes a full spectrum for every
+ * service time). Every tick still computes a spectrum for every
  * function that has at least `minSamples` invocations in its window
  * and no warm container, so the overhead stays an O(pool) sweep per
- * tick; only the constant factor is cut, by one reusable FFT plan
- * whose buffer the minute series is written into and a dominant-bin
- * search that takes a magnitude only of bins that can hold the peak.
+ * tick; only the constant factor is cut. One reusable real-input FFT
+ * plan computes the lower half of each spectrum from the minute series
+ * written into it, the dominant-bin search takes a magnitude only of
+ * bins that can hold the peak, and the confidence's spectral energy is
+ * summed only for a prediction that is due this tick.
  */
 #pragma once
 
@@ -74,16 +76,8 @@ class IceBreaker : public Policy
   private:
     FunctionHistory& history(FunctionId function);
 
-    /**
-     * Dominant invocation period (seconds) from the FFT of the
-     * function's minute series, or <= 0 when no reliable peak exists.
-     * Also outputs a crude periodicity confidence in [0, 1].
-     */
-    Seconds dominantPeriod(const FunctionHistory& h, Seconds now,
-                           double& confidence);
-
     Config config_;
-    /** Every function's spectrum is computed in this plan's buffer. */
+    /** Every function's spectrum is computed by this plan. */
     opt::Fft fft_;
     std::unordered_map<FunctionId, FunctionHistory> histories_;
 };

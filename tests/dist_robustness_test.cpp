@@ -1,11 +1,11 @@
 /**
  * @file
  * Robustness-layer tests for the distributed runner: deterministic
- * fault injection (chaos schedules, FaultySocket byte integrity),
- * LZ4 frame compression, the crash journal (round trip, torn tail,
- * malformed files), handshake rejection reasons, oversized-frame
- * connection drops, and end-to-end reconnect / mid-sweep catch-up
- * with real Master/WorkerBackends. The full-artifact invariants live
+ * fault injection (chaos schedules, FaultySocket byte integrity), the
+ * crash journal (round trip, torn tail, malformed files), handshake
+ * rejection reasons, oversized-frame connection drops, and end-to-end
+ * reconnect / mid-sweep catch-up with real Master/WorkerBackends. LZ4
+ * frame compression is tested in frame_test.cpp. The full-artifact invariants live
  * in ctest as dist_chaos_* / dist_resume_* (tools/golden_check.py).
  */
 #include <gtest/gtest.h>
@@ -183,70 +183,6 @@ TEST(Chaos, DisconnectEveryNthOpCutsTheLinkDeterministically)
         drained.append(buffer, static_cast<std::size_t>(n));
     }
     EXPECT_LT(drained.size(), std::string("onetwothree").size());
-}
-
-// --- LZ4 frame compression ----------------------------------------------
-
-TEST(FramingLz4, CompressibleFrameRoundTripsSmaller)
-{
-    const std::string payload(32 * 1024, 'z');
-    const std::string wire = encodeFrameLz4(8, payload);
-    ASSERT_GT(wire.size(), 6u);
-    EXPECT_EQ(static_cast<std::uint8_t>(wire[5]), kCodecLz4);
-    EXPECT_LT(wire.size(), payload.size() / 2);
-
-    FrameParser parser;
-    parser.feed(wire);
-    const auto frame = parser.next();
-    ASSERT_TRUE(frame.has_value());
-    EXPECT_EQ(frame->type, 8);
-    EXPECT_EQ(frame->codec, kCodecLz4);
-    EXPECT_EQ(frame->payload, payload);
-}
-
-TEST(FramingLz4, SmallFramesStayRaw)
-{
-    const std::string wire = encodeFrameLz4(8, "tiny");
-    EXPECT_EQ(static_cast<std::uint8_t>(wire[5]), kCodecNone);
-    FrameParser parser;
-    parser.feed(wire);
-    const auto frame = parser.next();
-    ASSERT_TRUE(frame.has_value());
-    EXPECT_EQ(frame->payload, "tiny");
-    EXPECT_EQ(frame->codec, kCodecNone);
-}
-
-TEST(FramingLz4, IncompressiblePayloadFallsBackToRaw)
-{
-    std::string noise;
-    Rng rng(7);
-    for (std::size_t i = 0; i < 2 * kFrameCompressMinBytes; ++i)
-        noise.push_back(static_cast<char>(rng.next() & 0xff));
-    const std::string wire = encodeFrameLz4(8, noise);
-    EXPECT_EQ(static_cast<std::uint8_t>(wire[5]), kCodecNone);
-    FrameParser parser;
-    parser.feed(wire);
-    ASSERT_TRUE(parser.next().has_value());
-}
-
-TEST(FramingLz4, CorruptCompressedBodyIsRejected)
-{
-    const std::string payload(32 * 1024, 'z');
-    std::string wire = encodeFrameLz4(8, payload);
-    ASSERT_EQ(static_cast<std::uint8_t>(wire[5]), kCodecLz4);
-    wire[wire.size() / 2] ^= 0x5a; // flip a bit mid-body
-    FrameParser parser;
-    parser.feed(wire);
-    EXPECT_THROW(parser.next(), DecodeError);
-}
-
-TEST(FramingLz4, UnknownCodecByteIsRejected)
-{
-    std::string wire = encodeFrame(8, "payload");
-    wire[5] = static_cast<char>(0x7f);
-    FrameParser parser;
-    parser.feed(wire);
-    EXPECT_THROW(parser.next(), FramingError);
 }
 
 // --- Journal ------------------------------------------------------------

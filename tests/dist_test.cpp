@@ -1,15 +1,14 @@
 /**
  * @file
- * Distributed-runner tests: framing (round trip, truncation, garbage,
- * oversize), message codecs, the job-result codec, plan fingerprints,
- * stats-delta shipping, and an in-process master/worker end-to-end run
- * including the version-mismatch handshake rejection. The full
+ * Distributed-runner tests: message codecs, the job-result codec, plan
+ * fingerprints, stats-delta shipping, and an in-process master/worker
+ * end-to-end run including the version-mismatch handshake rejection.
+ * Framing lives in frame_test.cpp. The full
  * kill-a-worker-mid-sweep artifact check lives in ctest as
  * dist_identity_* / dist_kill_* (tools/golden_check.py --mode dist*).
  */
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -31,97 +30,6 @@ using namespace codecrunch;
 using namespace codecrunch::dist;
 using codecrunch::runner::ExecBackend;
 using codecrunch::runner::JobCodec;
-
-// --- Framing ------------------------------------------------------------
-
-TEST(Framing, RoundTripsAcrossPartialFeeds)
-{
-    const std::string frame = encodeFrame(7, "hello");
-    FrameParser parser;
-    // Feed byte by byte: no frame until the last byte arrives.
-    for (std::size_t i = 0; i + 1 < frame.size(); ++i) {
-        parser.feed(std::string_view(&frame[i], 1));
-        EXPECT_FALSE(parser.next().has_value());
-    }
-    parser.feed(std::string_view(&frame.back(), 1));
-    const auto out = parser.next();
-    ASSERT_TRUE(out.has_value());
-    EXPECT_EQ(out->type, 7);
-    EXPECT_EQ(out->payload, "hello");
-    EXPECT_FALSE(parser.next().has_value());
-    EXPECT_EQ(parser.pendingBytes(), 0u);
-}
-
-TEST(Framing, ManyFramesInOneFeed)
-{
-    std::string wire;
-    for (int i = 0; i < 5; ++i)
-        wire += encodeFrame(static_cast<std::uint8_t>(i),
-                            std::string(i, 'x'));
-    FrameParser parser;
-    parser.feed(wire);
-    for (int i = 0; i < 5; ++i) {
-        const auto frame = parser.next();
-        ASSERT_TRUE(frame.has_value());
-        EXPECT_EQ(frame->type, i);
-        EXPECT_EQ(frame->payload.size(),
-                  static_cast<std::size_t>(i));
-    }
-    EXPECT_FALSE(parser.next().has_value());
-}
-
-TEST(Framing, CursorSurvivesCompactionAcrossManyFrames)
-{
-    // Push enough consumed bytes through the parser to cross its
-    // internal compaction threshold several times, interleaving
-    // feeds and pops so frames straddle compaction points.
-    FrameParser parser;
-    const std::string payload(1031, 'p');
-    std::string wire;
-    for (int i = 0; i < 400; ++i)
-        wire += encodeFrame(static_cast<std::uint8_t>(i % 251),
-                            payload);
-    std::size_t popped = 0;
-    for (std::size_t at = 0; at < wire.size();) {
-        const std::size_t chunk =
-            std::min<std::size_t>(4096, wire.size() - at);
-        parser.feed(std::string_view(wire).substr(at, chunk));
-        at += chunk;
-        while (auto frame = parser.next()) {
-            EXPECT_EQ(frame->type,
-                      static_cast<std::uint8_t>(popped % 251));
-            EXPECT_EQ(frame->payload, payload);
-            ++popped;
-        }
-    }
-    EXPECT_EQ(popped, 400u);
-    EXPECT_EQ(parser.pendingBytes(), 0u);
-}
-
-TEST(Framing, ZeroLengthFrameIsRejected)
-{
-    FrameParser parser;
-    parser.feed(std::string(5, '\0')); // length 0 + one junk byte
-    EXPECT_THROW(parser.next(), FramingError);
-}
-
-TEST(Framing, OversizedLengthIsRejectedBeforeAllocation)
-{
-    ByteWriter writer;
-    writer.u32(kMaxFrameBytes + 1);
-    FrameParser parser;
-    parser.feed(writer.bytes());
-    EXPECT_THROW(parser.next(), FramingError);
-}
-
-TEST(Framing, OversizedPayloadCannotBeEncoded)
-{
-    // Encoding checks the bound too, so a huge result fails loudly on
-    // the sender instead of poisoning the stream.
-    EXPECT_THROW(
-        encodeFrame(1, std::string_view(nullptr, kMaxFrameBytes)),
-        FramingError);
-}
 
 // --- Message codecs -----------------------------------------------------
 

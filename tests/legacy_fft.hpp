@@ -1,14 +1,16 @@
 /**
  * @file
- * Test-only copy of the allocating FFT that opt::Fft replaced.
+ * Test-only copy of the allocating complex FFT that opt::Fft replaced.
  *
- * The reusable plan in src/opt/fft.hpp (precomputed swaps and
- * twiddles, a single-pass dominant bin) is proven to produce the same
- * bits by running this implementation side by side with it over a
- * large seeded set of invocation-count series (opt_test.cpp,
- * FftDifferential*) and asserting bit-equal spectra and equal dominant
- * bins. The functions are the old transform(), Fft::forwardReal and
- * Fft::dominantBins kept verbatim, so the oracle's semantics are
+ * The real-input forward plan in src/opt/fft.hpp (bit-reversal and
+ * twiddle tables, real first stages, fused stage pairs, a screened
+ * dominant bin) is proven to produce the same bits by running this
+ * implementation side by side with it over a large seeded set of
+ * invocation-count series (opt_test.cpp, FftDifferential*) and
+ * asserting bit-equal lower-half spectra, equal dominant bins and
+ * bit-equal confidences. transform(), forwardReal and dominantBins are
+ * the old functions kept verbatim, and confidence() is the formula
+ * IceBreaker applied to their output, so the oracle's semantics are
  * exactly what every golden artifact was generated against. It lives
  * under tests/ and is not linked into the simulator.
  */
@@ -18,6 +20,7 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -105,6 +108,23 @@ dominantBins(const std::vector<Complex>& spectrum, std::size_t k)
     if (bins.size() > k)
         bins.resize(k);
     return bins;
+}
+
+/**
+ * IceBreaker's periodicity confidence for `bin` of `spectrum`: the
+ * bin's norm over the norms of bins 1 ... n/2-1 summed in index order,
+ * or nullopt when that energy is not positive (then no prediction was
+ * made).
+ */
+inline std::optional<double>
+confidence(const std::vector<Complex>& spectrum, std::size_t bin)
+{
+    double energy = 0.0;
+    for (std::size_t i = 1; i < spectrum.size() / 2; ++i)
+        energy += std::norm(spectrum[i]);
+    if (energy <= 0.0)
+        return std::nullopt;
+    return std::norm(spectrum[bin]) / energy;
 }
 
 } // namespace codecrunch::opt::legacy

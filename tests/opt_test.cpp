@@ -24,82 +24,110 @@ using namespace codecrunch::opt;
 
 // --- FFT ----------------------------------------------------------------
 
+namespace {
+
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+} // namespace
+
 TEST(Fft, ImpulseHasFlatSpectrum)
 {
     Fft fft(8);
-    const auto data = fft.data();
-    std::fill(data.begin(), data.end(), Complex(0, 0));
-    data[0] = Complex(1, 0);
+    const auto series = fft.series();
+    std::fill(series.begin(), series.end(), 0.0);
+    series[0] = 1.0;
     fft.forward();
-    for (const auto& bin : data)
-        EXPECT_NEAR(std::abs(bin), 1.0, 1e-12);
+    for (std::size_t k = 0; k < fft.size() / 2; ++k)
+        EXPECT_NEAR(std::abs(fft.bin(k)), 1.0, 1e-12);
 }
 
 TEST(Fft, DcSeriesConcentratesInBinZero)
 {
     Fft fft(16);
-    const auto data = fft.data();
-    std::fill(data.begin(), data.end(), Complex(1, 0));
+    const auto series = fft.series();
+    std::fill(series.begin(), series.end(), 1.0);
     fft.forward();
-    EXPECT_NEAR(std::abs(data[0]), 16.0, 1e-12);
-    for (std::size_t i = 1; i < data.size(); ++i)
-        EXPECT_NEAR(std::abs(data[i]), 0.0, 1e-9);
+    EXPECT_NEAR(std::abs(fft.bin(0)), 16.0, 1e-12);
+    for (std::size_t k = 1; k < fft.size() / 2; ++k)
+        EXPECT_NEAR(std::abs(fft.bin(k)), 0.0, 1e-9);
+    EXPECT_NEAR(fft.energy(), 0.0, 1e-18);
 }
 
 TEST(Fft, SineConcentratesInItsBin)
 {
     const std::size_t n = 64;
     Fft fft(n);
-    const auto data = fft.data();
+    const auto series = fft.series();
     for (std::size_t i = 0; i < n; ++i)
-        data[i] = Complex(std::sin(2.0 * M_PI * 4.0 * i / n), 0.0);
+        series[i] = std::sin(2.0 * M_PI * 4.0 * i / n);
     fft.forward();
     EXPECT_EQ(fft.dominantBin(), 4u);
 }
 
-TEST(Fft, ForwardInverseRoundTrip)
+TEST(Fft, LowerHalfMatchesDirectDft)
 {
+    // Every plan length, so the n < 4 stage loop, the lone stage of an
+    // odd stage count and the fused pairs all run.
     Rng rng(5);
-    Fft fft(32);
-    const auto data = fft.data();
-    for (auto& x : data)
-        x = Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
-    const std::vector<Complex> original(data.begin(), data.end());
-    fft.forward();
-    fft.inverse();
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        EXPECT_NEAR(data[i].real(), original[i].real(), 1e-9);
-        EXPECT_NEAR(data[i].imag(), original[i].imag(), 1e-9);
+    for (std::size_t n = 1; n <= 512; n <<= 1) {
+        Fft fft(n);
+        const auto series = fft.series();
+        for (auto& x : series)
+            x = rng.uniform(-1, 1);
+        fft.forward();
+        for (std::size_t k = 0; k < n / 2; ++k) {
+            Complex direct(0.0, 0.0);
+            for (std::size_t t = 0; t < n; ++t) {
+                const double angle =
+                    -2.0 * M_PI * static_cast<double>(k * t % n) /
+                    static_cast<double>(n);
+                direct += series[t] * Complex(std::cos(angle),
+                                              std::sin(angle));
+            }
+            EXPECT_NEAR(fft.bin(k).real(), direct.real(), 1e-9)
+                << "n " << n << " bin " << k;
+            EXPECT_NEAR(fft.bin(k).imag(), direct.imag(), 1e-9)
+                << "n " << n << " bin " << k;
+        }
     }
 }
 
 TEST(Fft, ParsevalHolds)
 {
+    // On the lower half of a real series' spectrum: bins 1 ... n/2-1
+    // stand for their mirror images too, and the Nyquist bin n/2 is
+    // the alternating sum of the series.
     Rng rng(6);
-    Fft fft(64);
-    const auto data = fft.data();
+    const std::size_t n = 64;
+    Fft fft(n);
+    const auto series = fft.series();
     double timeEnergy = 0.0;
-    for (auto& x : data) {
-        x = Complex(rng.uniform(-1, 1), 0.0);
-        timeEnergy += std::norm(x);
+    double nyquist = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        series[i] = rng.uniform(-1, 1);
+        timeEnergy += series[i] * series[i];
+        nyquist += i % 2 == 0 ? series[i] : -series[i];
     }
     fft.forward();
-    double freqEnergy = 0.0;
-    for (const auto& x : data)
-        freqEnergy += std::norm(x);
-    EXPECT_NEAR(freqEnergy, timeEnergy * 64.0, 1e-6);
+    const double freqEnergy =
+        fft.norm(0) + 2.0 * fft.energy() + nyquist * nyquist;
+    EXPECT_NEAR(freqEnergy, timeEnergy * static_cast<double>(n), 1e-6);
 }
 
 TEST(Fft, PlanZeroPadsToNextPow2)
 {
     // A 10-sample series runs in a 16-point plan, zero-padded.
     Fft fft(Fft::nextPow2(10));
-    const auto data = fft.data();
-    EXPECT_EQ(data.size(), 16u);
-    std::fill(data.begin(), data.end(), Complex(0, 0));
-    std::fill(data.begin(), data.begin() + 10, Complex(1, 0));
+    const auto series = fft.series();
+    EXPECT_EQ(series.size(), 16u);
+    std::fill(series.begin(), series.end(), 0.0);
+    std::fill(series.begin(), series.begin() + 10, 1.0);
     fft.forward();
-    EXPECT_NEAR(data[0].real(), 10.0, 1e-12);
+    EXPECT_NEAR(fft.bin(0).real(), 10.0, 1e-12);
 }
 
 TEST(Fft, NextPow2)
@@ -119,11 +147,34 @@ TEST(Fft, NonPow2Panics)
 TEST(Fft, NoDominantBinBelowFourPoints)
 {
     Fft fft(2);
-    const auto data = fft.data();
-    data[0] = Complex(1, 0);
-    data[1] = Complex(3, 0);
+    fft.series()[0] = 1.0;
+    fft.series()[1] = 3.0;
     fft.forward();
     EXPECT_EQ(fft.dominantBin(), 0u);
+}
+
+TEST(Fft, SuppliedSpectrumMustBeTheLowerHalf)
+{
+    Fft fft(16);
+    const std::vector<double> parts(16, 1.0);
+    EXPECT_DEATH(fft.dominantBin(parts, parts), "8 bins, not 16");
+}
+
+TEST(LegacyFft, ForwardInverseRoundTrip)
+{
+    // The plan has no inverse; this keeps the oracle the plan is
+    // checked against an honest DFT.
+    Rng rng(5);
+    std::vector<Complex> data(32);
+    for (auto& x : data)
+        x = Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
+    const std::vector<Complex> original = data;
+    legacy::transform(data, false);
+    legacy::transform(data, true);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+        EXPECT_NEAR(data[i].real(), original[i].real(), 1e-9);
+        EXPECT_NEAR(data[i].imag(), original[i].imag(), 1e-9);
+    }
 }
 
 // --- FFT plan vs the legacy allocating FFT ---------------------------------
@@ -138,6 +189,11 @@ enum class SeriesKind {
     Periodic,
     SingleSpike,
     TwoEqualSpikes,
+    /**
+     * A short trace seen during its drain: up to 36 busy minutes that
+     * end within the window's last two hours.
+     */
+    LateStretch,
     Flat, // all-zero or constant
     Count
 };
@@ -193,6 +249,16 @@ countSeries(Rng& rng, SeriesKind kind)
         series[at()] = height;
         break;
     }
+    case SeriesKind::LateStretch: {
+        const auto length = static_cast<double>(rng.uniformInt(2, 36));
+        const auto end = static_cast<double>(n) -
+                         static_cast<double>(rng.uniformInt(0, 120));
+        const double perMinute = rng.uniform(0.2, 4.0);
+        for (double t = rng.exponential(perMinute); t < length;
+             t += rng.exponential(perMinute))
+            series[static_cast<std::size_t>(end - length + t)] += 1.0;
+        break;
+    }
     default:
         std::fill(series.begin(), series.end(),
                   static_cast<double>(rng.uniformInt(0, 3)));
@@ -201,18 +267,19 @@ countSeries(Rng& rng, SeriesKind kind)
     return series;
 }
 
-/** Index of the first part whose bits differ, or a.size() if none. */
+/**
+ * Index of the first of bins [0, n/2) whose bits differ between the
+ * plan and the legacy spectrum, or n/2 if none.
+ */
 std::size_t
-firstBitMismatch(std::span<const Complex> a, std::span<const Complex> b)
+firstBitMismatch(const Fft& fft, const std::vector<Complex>& expected)
 {
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (std::bit_cast<std::uint64_t>(a[i].real()) !=
-                std::bit_cast<std::uint64_t>(b[i].real()) ||
-            std::bit_cast<std::uint64_t>(a[i].imag()) !=
-                std::bit_cast<std::uint64_t>(b[i].imag()))
-            return i;
+    for (std::size_t k = 0; k < fft.size() / 2; ++k) {
+        if (bits(fft.bin(k).real()) != bits(expected[k].real()) ||
+            bits(fft.bin(k).imag()) != bits(expected[k].imag()))
+            return k;
     }
-    return a.size();
+    return fft.size() / 2;
 }
 
 } // namespace
@@ -225,16 +292,15 @@ TEST(FftDifferential, PlanMatchesLegacyBitForBit)
     Fft fft(kSeriesLength);
     std::size_t ties = 0;
     std::size_t tiesPastLowest = 0;
+    std::size_t confidences = 0;
     for (std::size_t s = 0; s < kSeries; ++s) {
         const auto kind = static_cast<SeriesKind>(s % kinds);
         const auto series = countSeries(rng, kind);
         const auto expected = legacy::forwardReal(series);
-        const auto data = fft.data();
-        for (std::size_t i = 0; i < series.size(); ++i)
-            data[i] = Complex(series[i], 0.0);
+        std::copy(series.begin(), series.end(), fft.series().begin());
         fft.forward();
-        const std::size_t mismatch = firstBitMismatch(data, expected);
-        ASSERT_EQ(mismatch, data.size())
+        const std::size_t mismatch = firstBitMismatch(fft, expected);
+        ASSERT_EQ(mismatch, kSeriesLength / 2)
             << "series " << s << " (kind " << static_cast<int>(kind)
             << ") differs at bin " << mismatch;
 
@@ -242,6 +308,17 @@ TEST(FftDifferential, PlanMatchesLegacyBitForBit)
         ASSERT_EQ(fft.dominantBin(), legacyBin)
             << "series " << s << " (kind " << static_cast<int>(kind)
             << ")";
+
+        const auto confidence = legacy::confidence(expected, legacyBin);
+        if (confidence) {
+            ASSERT_EQ(bits(fft.norm(legacyBin) / fft.energy()),
+                      bits(*confidence))
+                << "series " << s << " (kind " << static_cast<int>(kind)
+                << ")";
+            ++confidences;
+        } else {
+            ASSERT_LE(fft.energy(), 0.0) << "series " << s;
+        }
 
         // An exact tie at the top sends dominantBin() to its sort.
         double top = -1.0;
@@ -265,6 +342,7 @@ TEST(FftDifferential, PlanMatchesLegacyBitForBit)
     // The sort's pick is not simply the lowest tied bin, so the
     // fallback cannot be replaced by a plain argmax.
     EXPECT_GT(tiesPastLowest, 0u);
+    EXPECT_GT(confidences, kSeries / 2);
 }
 
 // --- the dominant bin's norm screen on crafted spectra -----------------------
@@ -359,8 +437,13 @@ TEST(FftDifferential, DominantBinMatchesLegacyOnNearTies)
     for (std::size_t s = 0; s < kSpectra; ++s) {
         const auto kind = static_cast<SpectrumKind>(s % kinds);
         const auto spectrum = craftedSpectrum(rng, kind);
-        std::copy(spectrum.begin(), spectrum.end(), fft.data().begin());
-        ASSERT_EQ(fft.dominantBin(), legacy::dominantBins(spectrum, 3)[0])
+        std::vector<double> re, im;
+        for (std::size_t k = 0; k < kSeriesLength / 2; ++k) {
+            re.push_back(spectrum[k].real());
+            im.push_back(spectrum[k].imag());
+        }
+        ASSERT_EQ(fft.dominantBin(re, im),
+                  legacy::dominantBins(spectrum, 3)[0])
             << "spectrum " << s << " (kind " << static_cast<int>(kind)
             << ")";
 

@@ -7,12 +7,14 @@
  */
 #include <gtest/gtest.h>
 
-#include <complex>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "legacy_fft.hpp"
 #include "obs/profiler.hpp"
+#include "obs/trace.hpp"
 #include "policy/enhanced.hpp"
 #include "policy/faascache.hpp"
 #include "policy/fixed_keepalive.hpp"
@@ -54,6 +56,8 @@ class FakeContext : public PolicyContext
 
     Seconds now() const override { return now_; }
 
+    obs::TraceBuffer* traceSink() const override { return trace_; }
+
     bool
     requestPrewarm(FunctionId function, NodeType type,
                    Seconds keepAliveSeconds) override
@@ -89,6 +93,7 @@ class FakeContext : public PolicyContext
     trace::Workload workload_;
     cluster::Cluster cluster_;
     Seconds now_ = 0.0;
+    obs::TraceBuffer* trace_ = nullptr;
     std::vector<Prewarm> prewarms;
     std::vector<FunctionId> evictions;
     std::vector<FunctionId> compressions;
@@ -170,17 +175,13 @@ TEST(FunctionHistory, MinuteSeriesPlacesCounts)
     h.record(90.0);   // minute 1
     h.record(100.0);  // minute 1
     // Minutes 0..3, zero-padded to 8 entries.
-    std::vector<std::complex<double>> series(8, {7.0, 7.0});
+    std::vector<double> series(8, 7.0);
     h.minuteSeries(3, 4, series);
-    EXPECT_DOUBLE_EQ(series[0].real(), 1.0);
-    EXPECT_DOUBLE_EQ(series[1].real(), 2.0);
-    EXPECT_DOUBLE_EQ(series[2].real(), 0.0);
-    for (std::size_t i = 0; i < series.size(); ++i) {
-        EXPECT_DOUBLE_EQ(series[i].imag(), 0.0);
-        if (i >= 4) {
-            EXPECT_DOUBLE_EQ(series[i].real(), 0.0);
-        }
-    }
+    EXPECT_DOUBLE_EQ(series[0], 1.0);
+    EXPECT_DOUBLE_EQ(series[1], 2.0);
+    EXPECT_DOUBLE_EQ(series[2], 0.0);
+    for (std::size_t i = 3; i < series.size(); ++i)
+        EXPECT_DOUBLE_EQ(series[i], 0.0);
     EXPECT_EQ(h.recentCount(3, 4), 3u);
 }
 
@@ -192,10 +193,10 @@ TEST(FunctionHistory, MinuteWindowForgetsOldMinutes)
     h.record(130.0);  // minute 2
     h.record(190.0);  // minute 3: evicts minute 0
     EXPECT_EQ(h.recentCount(3, 10), 3u);
-    std::vector<std::complex<double>> series(4);
+    std::vector<double> series(4);
     h.minuteSeries(3, 4, series);
-    EXPECT_DOUBLE_EQ(series[0].real(), 0.0); // minute 0 forgotten
-    EXPECT_DOUBLE_EQ(series[3].real(), 1.0);
+    EXPECT_DOUBLE_EQ(series[0], 0.0); // minute 0 forgotten
+    EXPECT_DOUBLE_EQ(series[3], 1.0);
 }
 
 TEST(FunctionHistory, IatCvDistinguishesPatterns)
@@ -401,6 +402,45 @@ TEST(IceBreaker, PrewarmsPeriodicFunctionBeforePrediction)
     EXPECT_EQ(spectraComputedByTick(policy, context.now_), 1u);
     ASSERT_GE(context.prewarms.size(), 1u);
     EXPECT_EQ(context.prewarms[0].function, 0u);
+}
+
+TEST(IceBreaker, PredictConfidenceMatchesLegacyBits)
+{
+    FakeContext context;
+    obs::TraceBuffer trace;
+    context.trace_ = &trace;
+    IceBreaker policy;
+    policy.bind(context);
+    // Every 8 minutes, with a double invocation every third beat so the
+    // spectrum is not a clean comb.
+    FunctionHistory history(10, IceBreaker::Config().windowMinutes);
+    Seconds t = 0.0;
+    for (int i = 0; i < 20; ++i) {
+        t = i * 8.0 * 60.0;
+        for (int k = 0; k < (i % 3 == 0 ? 2 : 1); ++k) {
+            policy.onArrival(0, t + k);
+            history.record(t + k);
+        }
+    }
+    context.now_ = t + 7.5 * 60.0;
+    policy.onTick(context.now_);
+    ASSERT_EQ(trace.events().size(), 1u);
+    const auto& predict = trace.events()[0];
+    ASSERT_EQ(predict.kind, obs::TraceEvent::Kind::Predict);
+
+    // The confidence the complex transform's full spectrum gives.
+    std::vector<double> series(256);
+    history.minuteSeries(
+        static_cast<std::int64_t>(context.now_ / kSecondsPerMinute), 256,
+        series);
+    const auto spectrum = opt::legacy::forwardReal(series);
+    const std::size_t bin = opt::legacy::dominantBins(spectrum, 1)[0];
+    const auto confidence = opt::legacy::confidence(spectrum, bin);
+    ASSERT_TRUE(confidence.has_value());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(predict.x),
+              std::bit_cast<std::uint64_t>(*confidence));
+    EXPECT_DOUBLE_EQ(predict.dur, 256.0 / static_cast<double>(bin) *
+                                      kSecondsPerMinute);
 }
 
 TEST(IceBreaker, NoPrewarmWithoutEnoughHistory)
