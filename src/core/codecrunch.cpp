@@ -380,7 +380,7 @@ CodeCrunch::onTick(Seconds)
     // sees exactly the original spend signal.)
     const Dollars spentNow =
         cluster.keepAliveSpend() + cluster.snapshotSpend();
-    const Dollars available = creditor_->allocate(spentNow);
+    creditor_->allocate(spentNow);
 
     // --- Lagrangian price control ------------------------------------
     // Implements the Sec. 3.1 / Fig. 10 creditor through the price:
@@ -459,8 +459,7 @@ CodeCrunch::onTick(Seconds)
                  "estimates; keeping last-good solutions");
         emitWatchdogTrip(context_->traceSink(), context_->now(),
                          watchdogTrips_);
-        lastTick_ = TickDebug{available, 0.0, lambda_, invoked.size(),
-                              0.0, true};
+        lastTick_ = TickDebug{true};
         return;
     }
 
@@ -528,8 +527,7 @@ CodeCrunch::onTick(Seconds)
                  " evaluations); keeping last-good solutions");
         emitWatchdogTrip(context_->traceSink(), context_->now(),
                          watchdogTrips_);
-        lastTick_ = TickDebug{available, 0.0, lambda_, invoked.size(),
-                              result.score, true};
+        lastTick_ = TickDebug{true};
         return;
     }
     // SRE fairness counters advance only for adopted results.
@@ -538,9 +536,7 @@ CodeCrunch::onTick(Seconds)
             sreCounts_[invoked[i]] = counts[i];
     }
 
-    const Dollars committed = objective.cost(result.assignment);
-    lastTick_ = TickDebug{available, committed, lambda_,
-                          invoked.size(), result.score};
+    lastTick_ = TickDebug{};
 
     // Adopt and apply the solution.
     {

@@ -144,11 +144,6 @@ class CodeCrunch : public policy::Policy
 
     /** Per-tick optimizer telemetry (for inspection/tests). */
     struct TickDebug {
-        Dollars available = 0.0;
-        Dollars committed = 0.0;
-        double lambda = 0.0;
-        std::size_t invoked = 0;
-        double score = 0.0;
         /** True when the watchdog discarded this tick's result. */
         bool degraded = false;
     };

@@ -8,7 +8,6 @@
 #include <sstream>
 #include <unistd.h>
 
-#include "common/bytes.hpp"
 #include "common/logging.hpp"
 #include "dist/framing.hpp"
 
@@ -16,13 +15,35 @@ namespace codecrunch::dist {
 
 namespace {
 
-std::string
-encodeHeaderRecord()
+[[noreturn]] void
+corrupt(const std::string& path, const DecodeError& error)
 {
-    ByteWriter w;
-    w.u32(kJournalMagic);
-    w.u32(kJournalVersion);
-    return w.take();
+    // Append-only + fsync-per-record means corruption can only be the
+    // torn tail of the final append; anything that decodes badly
+    // EARLIER would have been covered by a later fsync and indicates
+    // real corruption.
+    fatal("journal: ", path, " is corrupt (", error.what(),
+          "); delete it or run without --resume");
+}
+
+/** Fatal unless `payload` is this build's header. A v1 header (u32
+ *  fields) does not decode and is refused like any other version. */
+void
+checkHeader(const std::string& path, std::string_view payload)
+{
+    std::string found = "an unreadable header";
+    try {
+        const auto header = JobCodec<JournalHeader>::decode(payload);
+        if (header.magic == kJournalMagic &&
+            header.version == kJournalVersion)
+            return;
+        found = "magic/version " + std::to_string(header.magic) +
+            "/" + std::to_string(header.version);
+    } catch (const DecodeError&) {
+    }
+    fatal("journal: ", path, " has ", found,
+          ", want journal version ", kJournalVersion, " (magic ",
+          kJournalMagic, "); delete it or run without --resume");
 }
 
 } // namespace
@@ -42,75 +63,44 @@ readJournal(const std::string& path)
     parser.feed(bytes);
     bool sawHeader = false;
     try {
-        for (;;) {
-            std::optional<Frame> frame;
-            frame = parser.next();
-            if (!frame)
-                break;
+        while (const auto frame = parser.next()) {
             if (!sawHeader) {
                 if (frame->type !=
                     static_cast<std::uint8_t>(
                         JournalRecord::Header))
                     fatal("journal: ", path,
                           " does not start with a header record");
-                ByteReader r(frame->payload);
-                const std::uint32_t magic = r.u32();
-                const std::uint32_t version = r.u32();
-                r.expectDone("journal header");
-                if (magic != kJournalMagic ||
-                    version != kJournalVersion)
-                    fatal("journal: ", path,
-                          " has magic/version ", magic, "/",
-                          version, ", want ", kJournalMagic, "/",
-                          kJournalVersion);
+                checkHeader(path, frame->payload);
                 sawHeader = true;
                 continue;
             }
             switch (static_cast<JournalRecord>(frame->type)) {
             case JournalRecord::PlanBegin: {
-                ByteReader r(frame->payload);
-                const std::uint64_t seq = r.u64();
-                JournaledPlan& plan = replay.plans[seq];
-                plan.name = r.str();
-                plan.jobCount = r.u64();
-                plan.fingerprint = r.u64();
-                r.expectDone("journal PlanBegin");
+                const auto begin = JobCodec<PlanBegin>::decode(frame->payload);
+                JournaledPlan& plan = replay.plans[begin.planSeq];
+                plan.name = begin.planName;
+                plan.jobCount = begin.jobCount;
+                plan.fingerprint = begin.fingerprint;
                 break;
             }
             case JournalRecord::Job: {
-                ByteReader r(frame->payload);
-                const std::uint64_t seq = r.u64();
-                const std::uint64_t index = r.u64();
-                JournaledJob job;
-                job.ok = r.u8() != 0;
-                job.label = r.str();
-                job.seed = r.u64();
-                job.payloadOrError = r.str();
-                job.statsDelta = r.str();
-                r.expectDone("journal Job");
-                replay.plans[seq].jobs[index] = std::move(job);
+                auto job = JobCodec<JournaledJob>::decode(frame->payload);
+                replay.plans[job.planSeq].jobs[job.jobIndex] =
+                    std::move(job);
                 ++replay.jobRecords;
                 break;
             }
-            case JournalRecord::PlanEnd: {
-                ByteReader r(frame->payload);
-                const std::uint64_t seq = r.u64();
-                r.expectDone("journal PlanEnd");
-                replay.plans[seq].completed = true;
+            case JournalRecord::PlanEnd:
+                replay.plans[JobCodec<PlanEnd>::decode(frame->payload).planSeq]
+                    .completed = true;
                 break;
-            }
             default:
                 fatal("journal: ", path,
                       " has unknown record type ", frame->type);
             }
         }
     } catch (const DecodeError& e) {
-        // Append-only + fsync-per-record means corruption can only be
-        // the torn tail of the final append; anything that decodes
-        // badly EARLIER would have been covered by a later fsync and
-        // indicates real corruption.
-        fatal("journal: ", path, " is corrupt (", e.what(),
-              "); delete it or run without --resume");
+        corrupt(path, e);
     }
     replay.validBytes = bytes.size() - parser.pendingBytes();
     if (parser.pendingBytes() > 0) {
@@ -122,6 +112,20 @@ readJournal(const std::string& path)
     if (!bytes.empty() && !sawHeader)
         fatal("journal: ", path, " has no complete header record");
     return replay;
+}
+
+void
+applyJournaledStats(const JournalReplay& replay,
+                    const std::string& path, obs::Registry& registry)
+{
+    // Deltas commute, so iteration order is irrelevant.
+    try {
+        for (const auto& [seq, plan] : replay.plans)
+            for (const auto& [index, job] : plan.jobs)
+                applyStatsDelta(job.stats, registry);
+    } catch (const DecodeError& e) {
+        corrupt(path, e);
+    }
 }
 
 JournalWriter::~JournalWriter()
@@ -164,7 +168,8 @@ JournalWriter::open(const std::string& path,
         fatal("journal: cannot seek ", path, ": ",
               std::strerror(errno));
     if (fresh || keep == 0)
-        append(JournalRecord::Header, encodeHeaderRecord());
+        append(JournalRecord::Header,
+               JobCodec<JournalHeader>::encode({}));
 }
 
 void
@@ -207,43 +212,22 @@ JournalWriter::append(JournalRecord type, const std::string& payload)
 }
 
 void
-JournalWriter::planBegin(std::uint64_t planSeq,
-                         const std::string& name,
-                         std::uint64_t jobCount,
-                         std::uint64_t fingerprint)
+JournalWriter::planBegin(const PlanBegin& record)
 {
-    ByteWriter w;
-    w.u64(planSeq);
-    w.str(name);
-    w.u64(jobCount);
-    w.u64(fingerprint);
-    append(JournalRecord::PlanBegin, w.take());
+    append(JournalRecord::PlanBegin,
+           JobCodec<PlanBegin>::encode(record));
 }
 
 void
-JournalWriter::job(std::uint64_t planSeq, std::uint64_t index,
-                   bool ok, const std::string& label,
-                   std::uint64_t seed,
-                   const std::string& payloadOrError,
-                   const std::string& statsDelta)
+JournalWriter::job(const JournaledJob& record)
 {
-    ByteWriter w;
-    w.u64(planSeq);
-    w.u64(index);
-    w.u8(ok ? 1 : 0);
-    w.str(label);
-    w.u64(seed);
-    w.str(payloadOrError);
-    w.str(statsDelta);
-    append(JournalRecord::Job, w.take());
+    append(JournalRecord::Job, JobCodec<JournaledJob>::encode(record));
 }
 
 void
-JournalWriter::planEnd(std::uint64_t planSeq)
+JournalWriter::planEnd(const PlanEnd& record)
 {
-    ByteWriter w;
-    w.u64(planSeq);
-    append(JournalRecord::PlanEnd, w.take());
+    append(JournalRecord::PlanEnd, JobCodec<PlanEnd>::encode(record));
 }
 
 } // namespace codecrunch::dist

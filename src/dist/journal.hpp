@@ -16,12 +16,12 @@
  * with a different binary or bench configuration fails loudly instead
  * of splicing mismatched results.
  *
- * Record types:
- *   Header    magic "CCJL", journal version — first record of a file
- *   PlanBegin planSeq, plan name, job count, fingerprint
- *   Job       planSeq, job index, ok flag, label, seed,
- *             payload-or-error, encoded stats delta
- *   PlanEnd   planSeq (all of the plan's jobs are journaled)
+ * Record types (each a JobCodec aggregate, like the wire messages):
+ *   Header    JournalHeader: magic "CCJL", journal version — first
+ *             record of a file
+ *   PlanBegin the wire's PlanBegin message
+ *   Job       JournaledJob: plan, index, label, seed, outcome, stats
+ *   PlanEnd   PlanEnd: all of the plan's jobs are journaled
  *
  * A truncated final record (the crash window) is detected and dropped:
  * readJournal() reports the valid byte prefix and JournalWriter
@@ -35,6 +35,8 @@
 #include <map>
 #include <string>
 
+#include "dist/protocol.hpp"
+
 namespace codecrunch::dist {
 
 /** Journal record type tags (disjoint from wire MsgType for grep). */
@@ -47,17 +49,53 @@ enum class JournalRecord : std::uint8_t {
 
 /** Journal magic: "CCJL" (CodeCrunch JournaL). */
 inline constexpr std::uint32_t kJournalMagic = 0x43434a4cu;
-inline constexpr std::uint32_t kJournalVersion = 1;
+/** v2: every record is a JobCodec aggregate. */
+inline constexpr std::uint32_t kJournalVersion = 2;
 
-/** One replayed job record. */
+struct JournalHeader {
+    std::uint32_t magic = kJournalMagic;
+    std::uint32_t version = kJournalVersion;
+
+    template <typename V>
+    void
+    visitFields(V&& v)
+    {
+        v(magic);
+        v(version);
+    }
+};
+
+/** One settled job, as the master journaled it. */
 struct JournaledJob {
-    bool ok = false;
-    /** Encoded result (JobCodec) on success; error text on failure. */
-    std::string payloadOrError;
-    /** Encoded sim-scope stats delta (protocol.hpp codec). */
-    std::string statsDelta;
+    std::uint64_t planSeq = 0;
+    std::uint64_t jobIndex = 0;
     std::string label;
     std::uint64_t seed = 0;
+    JobOutcome outcome;
+    StatsDelta stats;
+
+    template <typename V>
+    void
+    visitFields(V&& v)
+    {
+        v(planSeq);
+        v(jobIndex);
+        v(label);
+        v(seed);
+        v(outcome);
+        v(stats);
+    }
+};
+
+struct PlanEnd {
+    std::uint64_t planSeq = 0;
+
+    template <typename V>
+    void
+    visitFields(V&& v)
+    {
+        v(planSeq);
+    }
 };
 
 /** Everything the journal recorded about one plan. */
@@ -89,6 +127,15 @@ struct JournalReplay {
 JournalReplay readJournal(const std::string& path);
 
 /**
+ * Re-apply every replayed job's stats delta to `registry`; fatal,
+ * naming the journal at `path` corrupt, on a delta applyStatsDelta
+ * refuses.
+ */
+void applyJournaledStats(const JournalReplay& replay,
+                         const std::string& path,
+                         obs::Registry& registry);
+
+/**
  * Append-only journal writer. Every append is written fully and
  * fdatasync()ed before returning, so a record either exists completely
  * on disk or (in the crash window) is a detectable torn tail.
@@ -117,13 +164,9 @@ class JournalWriter
     bool active() const { return fd_ >= 0; }
     const std::string& path() const { return path_; }
 
-    void planBegin(std::uint64_t planSeq, const std::string& name,
-                   std::uint64_t jobCount, std::uint64_t fingerprint);
-    void job(std::uint64_t planSeq, std::uint64_t index, bool ok,
-             const std::string& label, std::uint64_t seed,
-             const std::string& payloadOrError,
-             const std::string& statsDelta);
-    void planEnd(std::uint64_t planSeq);
+    void planBegin(const PlanBegin& record);
+    void job(const JournaledJob& record);
+    void planEnd(const PlanEnd& record);
 
     void close();
 

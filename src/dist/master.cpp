@@ -102,19 +102,14 @@ struct MasterBackend::Impl {
     bool firstLivePlan = true;
 
     /**
-     * Every finished plan, in sequence order: fingerprint plus the
-     * encoded PlanResults payload. Seeded from the journal under
-     * --resume, appended to as live plans complete; the handshake's
-     * PlanCatchUp serves (re)joining workers straight from here.
+     * Every finished plan, in sequence order. Seeded from the journal
+     * under --resume, appended to as live plans complete; the
+     * handshake's PlanCatchUp serves (re)joining workers from here.
      */
-    struct CompletedPlan {
-        std::uint64_t fingerprint = 0;
-        std::string resultsPayload;
-    };
     std::vector<CompletedPlan> completedPlans;
-    /** Encoded PlanBegin of the in-flight plan (empty between plans);
-     *  handed to mid-plan joiners right after their PlanCatchUp. */
-    std::string activeBeginPayload;
+    /** PlanBegin of the in-flight plan (none between plans); handed
+     *  to mid-plan joiners right after their PlanCatchUp. */
+    std::optional<PlanBegin> activeBegin;
 
     JournalWriter journal;
     JournalReplay replay;
@@ -177,13 +172,9 @@ struct MasterBackend::Impl {
                 keepBytes = replay.validBytes;
                 loadCompletedPlans();
                 // Journaled deltas restore the registry exactly as if
-                // this process had settled those jobs itself; deltas
-                // commute, so iteration order is irrelevant. Give-up
-                // outcomes journal an empty delta — nothing to apply.
-                for (const auto& [seq, plan] : replay.plans)
-                    for (const auto& [index, job] : plan.jobs)
-                        if (!job.statsDelta.empty())
-                            applyStatsDelta(job.statsDelta, registry);
+                // this process had settled those jobs itself.
+                applyJournaledStats(replay, options.journalPath,
+                                    registry);
                 inform("dist: --resume: journal holds ",
                        replay.jobRecords, " settled jobs across ",
                        replay.plans.size(), " plans (",
@@ -244,25 +235,16 @@ struct MasterBackend::Impl {
             if (it == replay.plans.end() || !it->second.completed)
                 return;
             const JournaledPlan& plan = it->second;
-            PlanResults results;
-            results.planSeq = seq;
-            results.outcomes.reserve(
-                static_cast<std::size_t>(plan.jobCount));
+            CompletedPlan completed{plan.fingerprint, {}};
             for (std::uint64_t i = 0; i < plan.jobCount; ++i) {
                 const auto job = plan.jobs.find(i);
                 if (job == plan.jobs.end())
                     fatal("dist: journal marks plan #", seq, " ('",
                           plan.name, "') complete but job ", i,
                           " has no record");
-                JobOutcome outcome;
-                if (job->second.ok)
-                    outcome.payload = job->second.payloadOrError;
-                else
-                    outcome.error = job->second.payloadOrError;
-                results.outcomes.push_back(std::move(outcome));
+                completed.outcomes.push_back(job->second.outcome);
             }
-            completedPlans.push_back(
-                {plan.fingerprint, encodePlanResults(results)});
+            completedPlans.push_back(std::move(completed));
         }
     }
 
@@ -317,21 +299,29 @@ struct MasterBackend::Impl {
         if (frame.type != static_cast<std::uint8_t>(MsgType::Hello))
             throw FramingError("expected Hello, got type " +
                                std::to_string(frame.type));
-        const Hello hello = decodeHello(frame.payload);
-        if (hello.magic != kMagic ||
-            hello.version != kProtocolVersion) {
-            warn("dist: rejecting worker pid ", hello.pid,
-                 " (magic=", hello.magic,
-                 ", version=", hello.version, ", want ",
-                 kProtocolVersion, ")");
+        // Another protocol version's Hello has another layout and may
+        // not decode at all: that is a version mismatch too.
+        std::optional<Hello> decoded;
+        try {
+            decoded = JobCodec<Hello>::decode(frame.payload);
+        } catch (const DecodeError&) {
+        }
+        if (!decoded || decoded->magic != kMagic ||
+            decoded->version != kProtocolVersion) {
+            const std::string worker = decoded
+                ? std::to_string(decoded->version)
+                : "unknown (undecodable Hello)";
+            warn("dist: rejecting worker: protocol version ", worker,
+                 ", want ", kProtocolVersion);
             send(conn, MsgType::HelloReject,
-                 encodeText("protocol version mismatch: master=" +
-                            std::to_string(kProtocolVersion) +
-                            " worker=" +
-                            std::to_string(hello.version)));
+                 JobCodec<HelloReject>::encode({
+                     "protocol version mismatch: master=" +
+                     std::to_string(kProtocolVersion) +
+                     " worker=" + worker}));
             conn.stream.close();
             return;
         }
+        const Hello& hello = *decoded;
         if (hello.nextPlanSeq > completedPlans.size()) {
             // The worker finished plans this master never saw — it
             // belongs to an earlier master incarnation that was
@@ -342,14 +332,14 @@ struct MasterBackend::Impl {
                  " but this master completed ",
                  completedPlans.size());
             send(conn, MsgType::HelloReject,
-                 encodeText(
+                 JobCodec<HelloReject>::encode({
                      "worker is ahead of the master: it expects "
                      "plan #" +
                      std::to_string(hello.nextPlanSeq) +
                      " but only " +
                      std::to_string(completedPlans.size()) +
                      " plans completed here (master restarted "
-                     "without --resume?)"));
+                     "without --resume?)"}));
             conn.stream.close();
             return;
         }
@@ -369,26 +359,24 @@ struct MasterBackend::Impl {
         HelloAck ack;
         ack.workerId = conn.workerId;
         ack.codec = conn.codec;
-        send(conn, MsgType::HelloAck, encodeHelloAck(ack));
+        send(conn, MsgType::HelloAck, JobCodec<HelloAck>::encode(ack));
 
         // Everything the worker missed: completed plans from its
         // position plus the master's registry as a baseline, then the
         // active PlanBegin (if any) so it can pull work immediately.
         PlanCatchUp catchUp;
         catchUp.fromSeq = hello.nextPlanSeq;
-        for (std::size_t s = hello.nextPlanSeq;
-             s < completedPlans.size(); ++s)
-            catchUp.entries.push_back(
-                {completedPlans[s].fingerprint,
-                 completedPlans[s].resultsPayload});
-        const obs::Registry::StatsSnapshot empty;
-        catchUp.statsBaseline = encodeStatsDelta(
-            empty,
-            obs::Registry::global().snapshot(obs::StatScope::Sim));
+        catchUp.plans.assign(
+            completedPlans.begin() +
+                static_cast<std::ptrdiff_t>(hello.nextPlanSeq),
+            completedPlans.end());
+        catchUp.statsBaseline = diffStats(
+            {}, obs::Registry::global().snapshot(obs::StatScope::Sim));
         send(conn, MsgType::PlanCatchUp,
-             encodePlanCatchUp(catchUp));
-        if (!activeBeginPayload.empty())
-            send(conn, MsgType::PlanBegin, activeBeginPayload);
+             JobCodec<PlanCatchUp>::encode(catchUp));
+        if (activeBegin)
+            send(conn, MsgType::PlanBegin,
+                 JobCodec<PlanBegin>::encode(*activeBegin));
     }
 
     /**
@@ -550,19 +538,18 @@ MasterBackend::executePlan(const std::string& planName,
                   " does not match local plan '", planName,
                   "' (fingerprint ", fingerprint,
                   ") — different binary or configuration?");
-        PlanResults results = decodePlanResults(
-            m.completedPlans[seq].resultsPayload);
-        if (results.outcomes.size() != jobs.size())
+        const auto& outcomes = m.completedPlans[seq].outcomes;
+        if (outcomes.size() != jobs.size())
             fatal("dist: --resume journal plan #", seq, " has ",
-                  results.outcomes.size(), " outcomes for ",
-                  jobs.size(), " jobs");
+                  outcomes.size(), " outcomes for ", jobs.size(),
+                  " jobs");
         inform("dist: plan '", planName, "' replayed from journal (",
                jobs.size(), " jobs skipped)");
         if (sink) {
             sink->planStarted(planName, jobs.size());
             sink->planFinished();
         }
-        return std::move(results.outcomes);
+        return outcomes;
     }
 
     if (m.firstLivePlan) {
@@ -573,18 +560,15 @@ MasterBackend::executePlan(const std::string& planName,
     if (sink)
         sink->planStarted(planName, jobs.size());
 
-    PlanBegin begin;
-    begin.planSeq = seq;
-    begin.planName = planName;
-    begin.jobCount = jobs.size();
-    begin.fingerprint = fingerprint;
-    m.activeBeginPayload = encodePlanBegin(begin);
+    m.activeBegin = PlanBegin{seq, planName, jobs.size(), fingerprint};
+    const std::string beginPayload =
+        JobCodec<PlanBegin>::encode(*m.activeBegin);
     for (auto& [fd, conn] : m.conns) {
         conn.ackedPlan = false;
         conn.inflight.reset();
         conn.idleSince.reset();
         if (conn.handshaken)
-            m.send(conn, MsgType::PlanBegin, m.activeBeginPayload);
+            m.send(conn, MsgType::PlanBegin, beginPayload);
     }
 
     std::vector<std::optional<JobOutcome>> outcomes(jobs.size());
@@ -607,22 +591,17 @@ MasterBackend::executePlan(const std::string& planName,
                 fatal("dist: journal job index ", index,
                       " out of range for plan '", planName, "'");
             const auto i = static_cast<std::size_t>(index);
-            JobOutcome outcome;
-            if (job.ok)
-                outcome.payload = job.payloadOrError;
-            else
-                outcome.error = job.payloadOrError;
-            outcomes[i] = std::move(outcome);
+            outcomes[i] = job.outcome;
             ++settled;
             if (sink) {
                 sink->jobStarted(i, jobs[i].label, 0.0);
-                sink->jobFinished(i, job.ok);
+                sink->jobFinished(i, job.outcome.ok());
             }
         }
         inform("dist: plan '", planName, "': ", settled, " of ",
                jobs.size(), " jobs replayed from journal");
     } else if (m.journal.active()) {
-        m.journal.planBegin(seq, planName, jobs.size(), fingerprint);
+        m.journal.planBegin(*m.activeBegin);
     }
 
     std::deque<std::size_t> pending;
@@ -630,21 +609,21 @@ MasterBackend::executePlan(const std::string& planName,
         if (!outcomes[i])
             pending.push_back(i);
 
+    // Throws DecodeError, before anything is journaled or recorded,
+    // when the registry refuses the delta.
     auto settle = [&](std::size_t index, JobOutcome outcome,
-                      const std::string& statsDelta) {
+                      StatsDelta stats) {
         if (outcomes[index])
             return; // duplicate after a re-dispatch race; first wins
+        applyStatsDelta(stats, obs::Registry::global());
+        JournaledJob record{seq, index, jobs[index].label,
+                            jobs[index].seed, std::move(outcome),
+                            std::move(stats)};
         // Journal before acting on the result: once the master's
         // behavior can depend on this outcome, it is durable.
         if (m.journal.active())
-            m.journal.job(seq, index, outcome.ok(),
-                          jobs[index].label, jobs[index].seed,
-                          outcome.ok() ? outcome.payload
-                                       : outcome.error,
-                          statsDelta);
-        if (!statsDelta.empty())
-            applyStatsDelta(statsDelta, obs::Registry::global());
-        outcomes[index] = std::move(outcome);
+            m.journal.job(record);
+        outcomes[index] = std::move(record.outcome);
         ++settled;
         ++m.wireSettled;
         if (m.wireSettled >= m.options.dieAfterSettled) {
@@ -671,10 +650,8 @@ MasterBackend::executePlan(const std::string& planName,
                 secondsSince(*conn.idleSince) * 1e6));
             conn.idleSince.reset();
         }
-        JobAssign assign;
-        assign.planSeq = seq;
-        assign.jobIndex = index;
-        m.send(conn, MsgType::JobAssign, encodeJobAssign(assign));
+        m.send(conn, MsgType::JobAssign,
+               JobCodec<JobAssign>::encode({seq, index}));
         m.statDispatched->add(1);
         if (sink)
             sink->jobStarted(index, jobs[index].label, 0.0);
@@ -698,47 +675,34 @@ MasterBackend::executePlan(const std::string& planName,
 
     auto onFrame = [&](Conn& conn, const Frame& frame) {
         switch (static_cast<MsgType>(frame.type)) {
-        case MsgType::PlanAck: {
-            const std::uint64_t ackSeq =
-                decodeSeqOnly(frame.payload, "PlanAck");
-            if (ackSeq != seq)
+        case MsgType::PlanAck:
+            if (JobCodec<PlanAck>::decode(frame.payload).planSeq != seq)
                 break; // stale ack from a plan that already settled
             conn.ackedPlan = true;
             break;
-        }
         case MsgType::JobRequest: {
-            const std::uint64_t reqSeq =
-                decodeSeqOnly(frame.payload, "JobRequest");
-            if (reqSeq != seq)
+            if (JobCodec<JobRequest>::decode(frame.payload).planSeq != seq)
                 break; // stale request from the previous plan
             if (!conn.ackedPlan)
                 throw FramingError("JobRequest before PlanAck");
             dealJob(conn);
             break;
         }
-        case MsgType::JobResult:
-        case MsgType::JobFailed: {
-            JobResult result = decodeJobResult(frame.payload);
+        case MsgType::JobResult: {
+            JobResult result = JobCodec<JobResult>::decode(frame.payload);
             if (result.planSeq != seq)
                 throw FramingError("job result for wrong plan");
             if (result.jobIndex >= jobs.size())
                 throw FramingError("job result index out of range");
             if (!conn.inflight || *conn.inflight != result.jobIndex)
                 throw FramingError("unsolicited job result");
+            const bool ok = result.outcome.ok();
+            // The job stays in flight until it settles: a delta the
+            // registry refuses drops this worker and re-dispatches it.
+            settle(result.jobIndex, std::move(result.outcome),
+                   std::move(result.stats));
             conn.inflight.reset();
             conn.stats.jobs->add(1);
-            JobOutcome outcome;
-            const bool ok =
-                frame.type ==
-                static_cast<std::uint8_t>(MsgType::JobResult);
-            if (ok)
-                outcome.payload = std::move(result.payloadOrError);
-            else
-                outcome.error = result.payloadOrError.empty()
-                    ? "job failed on worker"
-                    : result.payloadOrError;
-            settle(result.jobIndex, std::move(outcome),
-                   result.statsDelta);
             if (sink)
                 sink->jobFinished(result.jobIndex, ok);
             break;
@@ -748,7 +712,7 @@ MasterBackend::executePlan(const std::string& planName,
             // refreshed by the pump); a payload is our RTT probe's
             // nonce coming back.
             if (!frame.payload.empty() && conn.ping &&
-                decodeSeqOnly(frame.payload, "Heartbeat") ==
+                JobCodec<Heartbeat>::decode(frame.payload).nonce ==
                     conn.ping->first) {
                 conn.stats.rttUs->observe(
                     secondsSince(conn.ping->second) * 1e6);
@@ -759,7 +723,7 @@ MasterBackend::executePlan(const std::string& planName,
             break;
         case MsgType::Error:
             fatal("dist: worker ", conn.workerId, " reported: ",
-                  decodeText(frame.payload, "Error"));
+                  JobCodec<Error>::decode(frame.payload).text);
             break;
         default:
             throw FramingError("unexpected frame type " +
@@ -784,7 +748,7 @@ MasterBackend::executePlan(const std::string& planName,
                                        std::to_string(
                                            retries[index]) +
                                        " workers; giving up"},
-                           "");
+                           {});
                 } else {
                     m.statRetries->add(1);
                     warn("dist: worker ", conn.workerId,
@@ -824,7 +788,8 @@ MasterBackend::executePlan(const std::string& planName,
             const std::uint64_t nonce = m.nextPingNonce++;
             conn.ping = {{nonce, Clock::now()}};
             conn.lastPing = Clock::now();
-            m.send(conn, MsgType::Heartbeat, encodeSeqOnly(nonce));
+            m.send(conn, MsgType::Heartbeat,
+                   JobCodec<Heartbeat>::encode({nonce}));
         }
         // Heartbeat silence: a wedged worker is as gone as a dead one.
         std::vector<int> silent;
@@ -875,20 +840,17 @@ MasterBackend::executePlan(const std::string& planName,
         results.push_back(std::move(*outcome));
 
     if (m.journal.active())
-        m.journal.planEnd(seq);
+        m.journal.planEnd({seq});
 
     // Lockstep broadcast: workers return the identical ordered
     // outcome list from their executePlan, so bench code that feeds
     // plan N's results into plan N+1 stays bit-identical everywhere.
     // Sent to every handshaken conn (acked or not): a worker that
     // joined moments ago still needs the results to leave this plan.
-    PlanResults broadcast;
-    broadcast.planSeq = seq;
-    broadcast.outcomes = results;
     const std::string resultsPayload =
-        encodePlanResults(broadcast);
-    m.completedPlans.push_back({fingerprint, resultsPayload});
-    m.activeBeginPayload.clear();
+        JobCodec<PlanResults>::encode({seq, results});
+    m.completedPlans.push_back({fingerprint, results});
+    m.activeBegin.reset();
     for (auto& [fd, conn] : m.conns) {
         if (conn.handshaken)
             m.send(conn, MsgType::PlanResults, resultsPayload);

@@ -21,10 +21,13 @@
  *    the artifact. Re-dispatches per job are capped; exceeding the cap
  *    records a job error, which surfaces in plan order like a local
  *    job exception.
- *  - A JobFailed message is a *deterministic* job exception: it is
- *    recorded, never retried (a retry would deterministically fail
- *    again), and surfaces after all jobs settle, exactly like the
- *    local path.
+ *  - A JobResult whose outcome carries an error is a *deterministic*
+ *    job exception: it is recorded, never retried (a retry would
+ *    deterministically fail again), and surfaces after all jobs
+ *    settle, exactly like the local path.
+ *  - A frame that does not decode (DecodeError), a stats delta the
+ *    registry refuses included, drops that worker like a loss; the
+ *    other workers keep being served.
  *  - Losing the last worker opens a reconnect grace window; only if
  *    no worker (re)joins within it does the master give up.
  *  - Workers may join or rejoin at ANY point in the sweep: the

@@ -1,7 +1,7 @@
 #include "dist/protocol.hpp"
 
-#include <algorithm>
-#include <cstring>
+#include <cmath>
+#include <set>
 
 #include "common/bytes.hpp"
 #include "common/logging.hpp"
@@ -30,240 +30,54 @@ fnv1aU64(std::uint64_t v, std::uint64_t h)
     return fnv1a(std::string_view(bytes, 8), h);
 }
 
+/** Throws DecodeError unless applying `delta` could not panic. */
+void
+checkStatsDelta(const StatsDelta& delta, const obs::Registry& registry)
+{
+    using Kind = obs::Registry::Kind;
+    std::set<std::string_view> names;
+    const auto admit = [&](const std::string& name, Kind kind,
+                           const std::vector<double>& bounds) {
+        if (!names.insert(name).second)
+            throw DecodeError("stats delta sends '" + name +
+                              "' twice");
+        const auto held = registry.find(name);
+        if (held &&
+            (held->kind != kind ||
+             held->scope != obs::StatScope::Sim ||
+             held->bounds != bounds))
+            throw DecodeError("stats delta sends '" + name +
+                              "' as another kind, scope or bounds "
+                              "than the registry holds");
+    };
+    for (const auto& counter : delta.counters)
+        admit(counter.name, Kind::Counter, {});
+    for (const auto& gauge : delta.gauges)
+        admit(gauge.name, Kind::Gauge, {});
+    for (const auto& histogram : delta.histograms) {
+        const auto& bounds = histogram.value.bounds;
+        bool ascending = !bounds.empty();
+        for (std::size_t i = 0; i < bounds.size() && ascending; ++i)
+            ascending = std::isfinite(bounds[i]) &&
+                (i == 0 || bounds[i] > bounds[i - 1]);
+        if (!ascending)
+            throw DecodeError("stats delta histogram '" +
+                              histogram.name +
+                              "' has bounds that are empty, not "
+                              "finite or not strictly ascending");
+        if (histogram.value.counts.size() != bounds.size() + 1)
+            throw DecodeError("stats delta histogram '" +
+                              histogram.name + "' has " +
+                              std::to_string(
+                                  histogram.value.counts.size()) +
+                              " counts for " +
+                              std::to_string(bounds.size()) +
+                              " bounds");
+        admit(histogram.name, Kind::Histogram, bounds);
+    }
+}
+
 } // namespace
-
-std::string
-encodeHello(const Hello& m)
-{
-    ByteWriter w;
-    w.u32(m.magic);
-    w.u32(m.version);
-    w.u64(m.pid);
-    w.u32(m.connectAttempts);
-    w.u64(m.nextPlanSeq);
-    w.u32(m.codecs);
-    w.u8(m.reconnect);
-    return w.take();
-}
-
-Hello
-decodeHello(std::string_view payload)
-{
-    ByteReader r(payload);
-    Hello m;
-    m.magic = r.u32();
-    m.version = r.u32();
-    // A v1 (or future) Hello has a different layout after the version
-    // field; stop here so the master can answer a version mismatch
-    // with HelloReject instead of a decode error.
-    if (m.magic != kMagic || m.version != kProtocolVersion)
-        return m;
-    m.pid = r.u64();
-    m.connectAttempts = r.u32();
-    m.nextPlanSeq = r.u64();
-    m.codecs = r.u32();
-    m.reconnect = r.u8();
-    r.expectDone("Hello");
-    return m;
-}
-
-std::string
-encodeHelloAck(const HelloAck& m)
-{
-    ByteWriter w;
-    w.u32(m.magic);
-    w.u32(m.version);
-    w.u32(m.workerId);
-    w.u8(m.codec);
-    return w.take();
-}
-
-HelloAck
-decodeHelloAck(std::string_view payload)
-{
-    ByteReader r(payload);
-    HelloAck m;
-    m.magic = r.u32();
-    m.version = r.u32();
-    m.workerId = r.u32();
-    m.codec = r.u8();
-    r.expectDone("HelloAck");
-    return m;
-}
-
-std::string
-encodePlanBegin(const PlanBegin& m)
-{
-    ByteWriter w;
-    w.u64(m.planSeq);
-    w.str(m.planName);
-    w.u64(m.jobCount);
-    w.u64(m.fingerprint);
-    return w.take();
-}
-
-PlanBegin
-decodePlanBegin(std::string_view payload)
-{
-    ByteReader r(payload);
-    PlanBegin m;
-    m.planSeq = r.u64();
-    m.planName = r.str();
-    m.jobCount = r.u64();
-    m.fingerprint = r.u64();
-    r.expectDone("PlanBegin");
-    return m;
-}
-
-std::string
-encodeJobAssign(const JobAssign& m)
-{
-    ByteWriter w;
-    w.u64(m.planSeq);
-    w.u64(m.jobIndex);
-    return w.take();
-}
-
-JobAssign
-decodeJobAssign(std::string_view payload)
-{
-    ByteReader r(payload);
-    JobAssign m;
-    m.planSeq = r.u64();
-    m.jobIndex = r.u64();
-    r.expectDone("JobAssign");
-    return m;
-}
-
-std::string
-encodeJobResult(const JobResult& m)
-{
-    ByteWriter w;
-    w.u64(m.planSeq);
-    w.u64(m.jobIndex);
-    w.str(m.payloadOrError);
-    w.str(m.statsDelta);
-    return w.take();
-}
-
-JobResult
-decodeJobResult(std::string_view payload)
-{
-    ByteReader r(payload);
-    JobResult m;
-    m.planSeq = r.u64();
-    m.jobIndex = r.u64();
-    m.payloadOrError = r.str();
-    m.statsDelta = r.str();
-    r.expectDone("JobResult");
-    return m;
-}
-
-std::string
-encodePlanResults(const PlanResults& m)
-{
-    ByteWriter w;
-    w.u64(m.planSeq);
-    w.u64(m.outcomes.size());
-    for (const auto& outcome : m.outcomes) {
-        w.u8(outcome.ok() ? 1 : 0);
-        w.str(outcome.ok() ? outcome.payload : outcome.error);
-    }
-    return w.take();
-}
-
-PlanResults
-decodePlanResults(std::string_view payload)
-{
-    ByteReader r(payload);
-    PlanResults m;
-    m.planSeq = r.u64();
-    const std::uint64_t n = r.u64();
-    if (n > r.remaining())
-        throw DecodeError("PlanResults count exceeds payload");
-    m.outcomes.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const bool ok = r.u8() != 0;
-        std::string body = r.str();
-        runner::ExecBackend::JobOutcome outcome;
-        if (ok)
-            outcome.payload = std::move(body);
-        else
-            outcome.error = std::move(body);
-        m.outcomes.push_back(std::move(outcome));
-    }
-    r.expectDone("PlanResults");
-    return m;
-}
-
-std::string
-encodePlanCatchUp(const PlanCatchUp& m)
-{
-    ByteWriter w;
-    w.u64(m.fromSeq);
-    w.u64(m.entries.size());
-    for (const auto& entry : m.entries) {
-        w.u64(entry.fingerprint);
-        w.str(entry.resultsPayload);
-    }
-    w.str(m.statsBaseline);
-    return w.take();
-}
-
-PlanCatchUp
-decodePlanCatchUp(std::string_view payload)
-{
-    ByteReader r(payload);
-    PlanCatchUp m;
-    m.fromSeq = r.u64();
-    const std::uint64_t n = r.u64();
-    if (n > r.remaining())
-        throw DecodeError("PlanCatchUp count exceeds payload");
-    m.entries.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-        PlanCatchUp::Entry entry;
-        entry.fingerprint = r.u64();
-        entry.resultsPayload = r.str();
-        m.entries.push_back(std::move(entry));
-    }
-    m.statsBaseline = r.str();
-    r.expectDone("PlanCatchUp");
-    return m;
-}
-
-std::string
-encodeSeqOnly(std::uint64_t seq)
-{
-    ByteWriter w;
-    w.u64(seq);
-    return w.take();
-}
-
-std::uint64_t
-decodeSeqOnly(std::string_view payload, std::string_view what)
-{
-    ByteReader r(payload);
-    const std::uint64_t seq = r.u64();
-    r.expectDone(what);
-    return seq;
-}
-
-std::string
-encodeText(std::string_view text)
-{
-    ByteWriter w;
-    w.str(text);
-    return w.take();
-}
-
-std::string
-decodeText(std::string_view payload, std::string_view what)
-{
-    ByteReader r(payload);
-    std::string text = r.str();
-    r.expectDone(what);
-    return text;
-}
 
 std::uint64_t
 planFingerprint(
@@ -280,121 +94,67 @@ planFingerprint(
     return h;
 }
 
-std::string
-encodeStatsDelta(const obs::Registry::StatsSnapshot& before,
-                 const obs::Registry::StatsSnapshot& after)
+StatsDelta
+diffStats(const obs::Registry::StatsSnapshot& before,
+          const obs::Registry::StatsSnapshot& after)
 {
     // Snapshots are name-sorted (Registry uses an ordered map), so a
     // merge walk finds each instrument's prior value in linear time.
-    ByteWriter w;
-
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
-    {
-        std::size_t b = 0;
-        for (const auto& [name, value] : after.counters) {
-            while (b < before.counters.size() &&
-                   before.counters[b].first < name)
-                ++b;
-            std::uint64_t prior = 0;
-            if (b < before.counters.size() &&
-                before.counters[b].first == name)
-                prior = before.counters[b].second;
-            // Zero deltas still travel: registration alone makes an
-            // instrument appear (as 0) in the artifact's stats block,
-            // so the master must learn every name the job touched.
-            counters.emplace_back(name, value - prior);
-        }
-    }
-    w.u64(counters.size());
-    for (const auto& [name, delta] : counters) {
-        w.str(name);
-        w.u64(delta);
+    StatsDelta delta;
+    std::size_t b = 0;
+    for (const auto& [name, value] : after.counters) {
+        while (b < before.counters.size() &&
+               before.counters[b].first < name)
+            ++b;
+        std::uint64_t prior = 0;
+        if (b < before.counters.size() &&
+            before.counters[b].first == name)
+            prior = before.counters[b].second;
+        delta.counters.push_back({name, value - prior});
     }
 
     // Gauges are max-merged on apply, so shipping the full after-value
     // is both exact and idempotent; no need to diff against before.
-    w.u64(after.gauges.size());
-    for (const auto& [name, value] : after.gauges) {
-        w.str(name);
-        w.f64(value);
-    }
+    for (const auto& [name, value] : after.gauges)
+        delta.gauges.push_back({name, value});
 
-    std::vector<std::pair<std::string, obs::Histogram::Snapshot>>
-        hists;
-    {
-        std::size_t b = 0;
-        for (const auto& [name, snap] : after.histograms) {
-            while (b < before.histograms.size() &&
-                   before.histograms[b].first < name)
-                ++b;
-            obs::Histogram::Snapshot delta = snap;
-            if (b < before.histograms.size() &&
-                before.histograms[b].first == name) {
-                const auto& prior = before.histograms[b].second;
-                if (prior.bounds != snap.bounds)
-                    fatal("dist: histogram '", name,
-                          "' changed bounds between snapshots");
-                for (std::size_t i = 0; i < delta.counts.size(); ++i)
-                    delta.counts[i] -= prior.counts[i];
-                delta.count -= prior.count;
-                delta.sum -= prior.sum;
-            }
-            hists.emplace_back(name, std::move(delta));
+    b = 0;
+    for (const auto& [name, snap] : after.histograms) {
+        while (b < before.histograms.size() &&
+               before.histograms[b].first < name)
+            ++b;
+        obs::Histogram::Snapshot increment = snap;
+        if (b < before.histograms.size() &&
+            before.histograms[b].first == name) {
+            const auto& prior = before.histograms[b].second;
+            if (prior.bounds != snap.bounds)
+                fatal("dist: histogram '", name,
+                      "' changed bounds between snapshots");
+            for (std::size_t i = 0; i < increment.counts.size(); ++i)
+                increment.counts[i] -= prior.counts[i];
+            increment.count -= prior.count;
+            increment.sum -= prior.sum;
         }
+        delta.histograms.push_back({name, std::move(increment)});
     }
-    w.u64(hists.size());
-    for (const auto& [name, snap] : hists) {
-        w.str(name);
-        w.u64(snap.bounds.size());
-        for (const double bound : snap.bounds)
-            w.f64(bound);
-        for (const std::uint64_t count : snap.counts)
-            w.u64(count);
-        w.u64(snap.count);
-        w.f64(snap.sum);
-    }
-    return w.take();
+    return delta;
 }
 
 void
-applyStatsDelta(std::string_view encoded, obs::Registry& registry)
+applyStatsDelta(const StatsDelta& delta, obs::Registry& registry)
 {
-    ByteReader r(encoded);
-
-    const std::uint64_t nCounters = r.u64();
-    for (std::uint64_t i = 0; i < nCounters; ++i) {
-        const std::string name = r.str();
-        const std::uint64_t delta = r.u64();
-        registry.counter(name, obs::StatScope::Sim).add(delta);
-    }
-
-    const std::uint64_t nGauges = r.u64();
-    for (std::uint64_t i = 0; i < nGauges; ++i) {
-        const std::string name = r.str();
-        const double value = r.f64();
-        registry.gauge(name, obs::StatScope::Sim).observe(value);
-    }
-
-    const std::uint64_t nHists = r.u64();
-    for (std::uint64_t i = 0; i < nHists; ++i) {
-        const std::string name = r.str();
-        const std::uint64_t nBounds = r.u64();
-        if (nBounds > r.remaining())
-            throw DecodeError("stats delta bounds exceed payload");
-        obs::Histogram::Snapshot delta;
-        delta.bounds.reserve(static_cast<std::size_t>(nBounds));
-        for (std::uint64_t b = 0; b < nBounds; ++b)
-            delta.bounds.push_back(r.f64());
-        delta.counts.reserve(static_cast<std::size_t>(nBounds) + 1);
-        for (std::uint64_t b = 0; b < nBounds + 1; ++b)
-            delta.counts.push_back(r.u64());
-        delta.count = r.u64();
-        delta.sum = r.f64();
+    checkStatsDelta(delta, registry);
+    for (const auto& counter : delta.counters)
+        registry.counter(counter.name, obs::StatScope::Sim)
+            .add(counter.value);
+    for (const auto& gauge : delta.gauges)
+        registry.gauge(gauge.name, obs::StatScope::Sim)
+            .observe(gauge.value);
+    for (const auto& histogram : delta.histograms)
         registry
-            .histogram(name, delta.bounds, obs::StatScope::Sim)
-            .add(delta);
-    }
-    r.expectDone("stats delta");
+            .histogram(histogram.name, histogram.value.bounds,
+                       obs::StatScope::Sim)
+            .add(histogram.value);
 }
 
 } // namespace codecrunch::dist

@@ -50,11 +50,7 @@ struct WorkerBackend::Impl {
      * (shipped in PlanCatchUp), keyed by plan sequence. executePlan
      * serves these locally instead of touching the wire.
      */
-    struct CaughtUpPlan {
-        std::uint64_t fingerprint = 0;
-        std::vector<runner::ExecBackend::JobOutcome> outcomes;
-    };
-    std::map<std::uint64_t, CaughtUpPlan> caughtUp;
+    std::map<std::uint64_t, CompletedPlan> caughtUp;
 
     /**
      * Serializes socket writes between main and heartbeat threads,
@@ -165,18 +161,18 @@ struct WorkerBackend::Impl {
         hello.reconnect = initial ? 0 : 1;
         // Hello itself always travels uncompressed: the codec is not
         // negotiated until HelloAck.
-        sendRawLocked(MsgType::Hello, encodeHello(hello));
+        sendRawLocked(MsgType::Hello, JobCodec<Hello>::encode(hello));
 
         const Frame ackFrame = readFrame(/*writeLockHeld=*/true);
         if (ackFrame.type ==
             static_cast<std::uint8_t>(MsgType::HelloReject))
             fatal("dist: master rejected this worker: ",
-                  decodeText(ackFrame.payload, "HelloReject"));
+                  JobCodec<HelloReject>::decode(ackFrame.payload).reason);
         if (ackFrame.type !=
             static_cast<std::uint8_t>(MsgType::HelloAck))
             fatal("dist: expected HelloAck, got frame type ",
                   ackFrame.type);
-        const HelloAck ack = decodeHelloAck(ackFrame.payload);
+        const HelloAck ack = JobCodec<HelloAck>::decode(ackFrame.payload);
         if (ack.magic != kMagic || ack.version != kProtocolVersion)
             fatal("dist: master protocol mismatch (version=",
                   ack.version, ", want ", kProtocolVersion, ")");
@@ -189,34 +185,26 @@ struct WorkerBackend::Impl {
             fatal("dist: expected PlanCatchUp after HelloAck, got "
                   "frame type ",
                   cuFrame.type);
-        PlanCatchUp catchUp = decodePlanCatchUp(cuFrame.payload);
+        PlanCatchUp catchUp = JobCodec<PlanCatchUp>::decode(cuFrame.payload);
         if (catchUp.fromSeq != planSeq)
             fatal("dist: PlanCatchUp starts at plan #",
                   catchUp.fromSeq, " but this worker expects #",
                   planSeq);
         const bool freshProcess =
             planSeq == 0 && jobsCompleted == 0 && !baselineConsumed;
-        for (std::size_t i = 0; i < catchUp.entries.size(); ++i) {
-            auto& entry = catchUp.entries[i];
-            PlanResults results =
-                decodePlanResults(entry.resultsPayload);
-            CaughtUpPlan plan;
-            plan.fingerprint = entry.fingerprint;
-            plan.outcomes = std::move(results.outcomes);
-            caughtUp[catchUp.fromSeq + i] = std::move(plan);
-        }
+        for (std::size_t i = 0; i < catchUp.plans.size(); ++i)
+            caughtUp[catchUp.fromSeq + i] = std::move(catchUp.plans[i]);
         // A fresh process that skips straight past completed plans
         // never ran their jobs, so it adopts the master's accumulated
         // sim-scope registry; a reconnecting worker already holds its
         // own history and must not double it.
-        if (freshProcess && !catchUp.entries.empty() &&
-            !catchUp.statsBaseline.empty())
+        if (freshProcess && !catchUp.plans.empty())
             applyStatsDelta(catchUp.statsBaseline,
                             obs::Registry::global());
         baselineConsumed = true;
         if (!initial)
             inform("dist: worker ", workerId,
-                   " reconnected to master (", catchUp.entries.size(),
+                   " reconnected to master (", catchUp.plans.size(),
                    " plans caught up)");
     }
 
@@ -331,7 +319,7 @@ struct WorkerBackend::Impl {
             static_cast<std::uint8_t>(MsgType::PlanBegin))
             fatal("dist: expected PlanBegin, got frame type ",
                   beginFrame.type);
-        const PlanBegin begin = decodePlanBegin(beginFrame.payload);
+        const auto begin = JobCodec<PlanBegin>::decode(beginFrame.payload);
         if (begin.planSeq != seq)
             fatal("dist: master is at plan #", begin.planSeq,
                   " but this worker expects #", seq);
@@ -341,19 +329,18 @@ struct WorkerBackend::Impl {
                   begin.jobCount, " jobs (fingerprint ",
                   begin.fingerprint, "), worker built ", jobs.size(),
                   " (fingerprint ", localFingerprint, ")");
-        send(MsgType::PlanAck, encodeSeqOnly(seq));
+        send(MsgType::PlanAck, JobCodec<PlanAck>::encode({seq}));
 
         auto& registry = obs::Registry::global();
         if (sink)
             sink->planStarted(planName, jobs.size());
 
         for (;;) {
-            send(MsgType::JobRequest, encodeSeqOnly(seq));
+            send(MsgType::JobRequest, JobCodec<JobRequest>::encode({seq}));
             const Frame frame = readFrame();
             switch (static_cast<MsgType>(frame.type)) {
             case MsgType::JobAssign: {
-                const JobAssign assign =
-                    decodeJobAssign(frame.payload);
+                const auto assign = JobCodec<JobAssign>::decode(frame.payload);
                 if (assign.planSeq != seq ||
                     assign.jobIndex >= jobs.size())
                     fatal("dist: bad job assignment (plan ",
@@ -376,29 +363,27 @@ struct WorkerBackend::Impl {
                 JobResult result;
                 result.planSeq = seq;
                 result.jobIndex = assign.jobIndex;
-                bool ok = true;
                 try {
-                    result.payloadOrError = jobs[index].run();
+                    result.outcome.payload = jobs[index].run();
                 } catch (const std::exception& e) {
-                    ok = false;
-                    result.payloadOrError = e.what();
+                    // A failed outcome is one with an error: never
+                    // an empty one.
+                    result.outcome.error = *e.what()
+                        ? e.what()
+                        : "job failed on worker";
                 } catch (...) {
-                    ok = false;
-                    result.payloadOrError = "unknown exception";
+                    result.outcome.error = "unknown exception";
                 }
-                const auto after =
-                    registry.snapshot(obs::StatScope::Sim);
-                result.statsDelta = encodeStatsDelta(before, after);
-                send(ok ? MsgType::JobResult : MsgType::JobFailed,
-                     encodeJobResult(result));
+                result.stats = diffStats(
+                    before, registry.snapshot(obs::StatScope::Sim));
+                send(MsgType::JobResult, JobCodec<JobResult>::encode(result));
                 ++jobsCompleted;
                 if (sink)
-                    sink->jobFinished(index, ok);
+                    sink->jobFinished(index, result.outcome.ok());
                 break;
             }
             case MsgType::PlanResults: {
-                PlanResults results =
-                    decodePlanResults(frame.payload);
+                auto results = JobCodec<PlanResults>::decode(frame.payload);
                 if (results.planSeq != seq)
                     fatal("dist: PlanResults for wrong plan");
                 if (results.outcomes.size() != jobs.size())
@@ -415,7 +400,7 @@ struct WorkerBackend::Impl {
                 break;
             case MsgType::Error:
                 fatal("dist: master reported: ",
-                      decodeText(frame.payload, "Error"));
+                      JobCodec<Error>::decode(frame.payload).text);
                 break;
             default:
                 fatal("dist: unexpected frame type ", frame.type,

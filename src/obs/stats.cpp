@@ -198,6 +198,20 @@ Registry::snapshot(StatScope scope) const
     return snap;
 }
 
+std::optional<Registry::Registration>
+Registry::find(std::string_view name) const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = instruments_.find(name);
+    if (it == instruments_.end())
+        return std::nullopt;
+    const Instrument& instrument = it->second;
+    Registration registration{instrument.kind, instrument.scope, {}};
+    if (instrument.kind == Kind::Histogram)
+        registration.bounds = instrument.histogram->bounds();
+    return registration;
+}
+
 void
 Registry::reset()
 {

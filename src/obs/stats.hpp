@@ -31,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -106,6 +107,17 @@ class Histogram
         std::uint64_t count = 0;
         /** Order-dependent under threads; excluded from Sim exports. */
         double sum = 0.0;
+
+        /** Exact binary round trip (runner/serial.hpp). */
+        template <typename V>
+        void
+        visitFields(V&& v)
+        {
+            v(bounds);
+            v(counts);
+            v(count);
+            v(sum);
+        }
     };
 
     /** `bounds` must be non-empty and strictly ascending. */
@@ -193,10 +205,7 @@ class LocalHistogram
     void
     visitFields(V&& v)
     {
-        v(snap_.bounds);
-        v(snap_.counts);
-        v(snap_.count);
-        v(snap_.sum);
+        v(snap_);
     }
 
   private:
@@ -237,12 +246,25 @@ class Registry
     StatsSnapshot snapshot() const;
     StatsSnapshot snapshot(StatScope scope) const;
 
+    enum class Kind : std::uint8_t { Counter, Gauge, Histogram };
+
+    /** How a name is registered (bounds: histograms only). */
+    struct Registration {
+        Kind kind;
+        StatScope scope;
+        std::vector<double> bounds;
+    };
+
+    /**
+     * The registration under `name`, if any. Lets a caller refuse an
+     * untrusted name before registering it would panic.
+     */
+    std::optional<Registration> find(std::string_view name) const;
+
     /** Zero every instrument (keeps registrations). Test helper. */
     void reset();
 
   private:
-    enum class Kind : std::uint8_t { Counter, Gauge, Histogram };
-
     struct Instrument {
         Kind kind;
         StatScope scope;

@@ -48,13 +48,25 @@ class ExecBackend
         std::function<std::string()> run;
     };
 
-    /** Result of one job: encoded payload or an error message. */
+    /**
+     * Result of one job: encoded payload or an error message. The one
+     * shape of an outcome everywhere it travels (the dist wire, the
+     * journal, catch-up), so it is itself JobCodec-serializable.
+     */
     struct JobOutcome {
         std::string payload;
         /** Non-empty means the job body threw (payload is empty). */
         std::string error;
 
         bool ok() const { return error.empty(); }
+
+        template <typename V>
+        void
+        visitFields(V&& v)
+        {
+            v(payload);
+            v(error);
+        }
     };
 
     virtual ~ExecBackend() = default;

@@ -200,14 +200,22 @@ struct TempPath {
     ~TempPath() { std::remove(path.c_str()); }
 };
 
-std::string
+StatsDelta
 sampleDelta()
 {
     obs::Registry registry;
     const auto before = registry.snapshot(obs::StatScope::Sim);
     registry.counter("sim.test.jobs").add(1);
-    return encodeStatsDelta(before,
-                            registry.snapshot(obs::StatScope::Sim));
+    return diffStats(before, registry.snapshot(obs::StatScope::Sim));
+}
+
+/** A Job record for `index` of `planSeq` (seed 100 + index). */
+JournaledJob
+jobRecord(std::uint64_t planSeq, std::uint64_t index,
+          JobOutcome outcome, StatsDelta stats = sampleDelta())
+{
+    return {planSeq, index, "job" + std::to_string(index), 100 + index,
+            std::move(outcome), std::move(stats)};
 }
 
 } // namespace
@@ -218,13 +226,11 @@ TEST(Journal, RecordsRoundTripThroughReplay)
     {
         JournalWriter writer;
         writer.open(tmp.path);
-        writer.planBegin(0, "plan-a", 2, 0xfeedu);
-        writer.job(0, 1, true, "job1", 101, "payload1",
-                   sampleDelta());
-        writer.job(0, 0, false, "job0", 100, "deterministic boom",
-                   sampleDelta());
-        writer.planEnd(0);
-        writer.planBegin(1, "plan-b", 1, 0xbeefu);
+        writer.planBegin({0, "plan-a", 2, 0xfeedu});
+        writer.job(jobRecord(0, 1, {"payload1", ""}));
+        writer.job(jobRecord(0, 0, {"", "deterministic boom"}));
+        writer.planEnd({0});
+        writer.planBegin({1, "plan-b", 1, 0xbeefu});
     }
     const JournalReplay replay = readJournal(tmp.path);
     EXPECT_FALSE(replay.truncatedTail);
@@ -236,13 +242,14 @@ TEST(Journal, RecordsRoundTripThroughReplay)
     EXPECT_EQ(planA.fingerprint, 0xfeedu);
     EXPECT_TRUE(planA.completed);
     ASSERT_EQ(planA.jobs.size(), 2u);
-    EXPECT_TRUE(planA.jobs.at(1).ok);
+    EXPECT_TRUE(planA.jobs.at(1).outcome.ok());
     EXPECT_EQ(planA.jobs.at(1).label, "job1");
     EXPECT_EQ(planA.jobs.at(1).seed, 101u);
-    EXPECT_EQ(planA.jobs.at(1).payloadOrError, "payload1");
-    EXPECT_FALSE(planA.jobs.at(0).ok);
-    EXPECT_EQ(planA.jobs.at(0).payloadOrError,
-              "deterministic boom");
+    EXPECT_EQ(planA.jobs.at(1).outcome.payload, "payload1");
+    ASSERT_EQ(planA.jobs.at(1).stats.counters.size(), 1u);
+    EXPECT_EQ(planA.jobs.at(1).stats.counters[0].value, 1u);
+    EXPECT_FALSE(planA.jobs.at(0).outcome.ok());
+    EXPECT_EQ(planA.jobs.at(0).outcome.error, "deterministic boom");
     EXPECT_FALSE(replay.plans.at(1).completed);
 }
 
@@ -252,9 +259,9 @@ TEST(Journal, TornTailRecordIsDroppedAndTruncatedOnReopen)
     {
         JournalWriter writer;
         writer.open(tmp.path);
-        writer.planBegin(0, "plan", 2, 1);
-        writer.job(0, 0, true, "job0", 100, "p0", sampleDelta());
-        writer.job(0, 1, true, "job1", 101, "p1", sampleDelta());
+        writer.planBegin({0, "plan", 2, 1});
+        writer.job(jobRecord(0, 0, {"p0", ""}));
+        writer.job(jobRecord(0, 1, {"p1", ""}));
     }
     // Tear the final record the way a crash mid-append would.
     const JournalReplay full = readJournal(tmp.path);
@@ -273,8 +280,8 @@ TEST(Journal, TornTailRecordIsDroppedAndTruncatedOnReopen)
     {
         JournalWriter writer;
         writer.open(tmp.path, torn.validBytes);
-        writer.job(0, 1, true, "job1", 101, "p1", sampleDelta());
-        writer.planEnd(0);
+        writer.job(jobRecord(0, 1, {"p1", ""}));
+        writer.planEnd({0});
     }
     const JournalReplay repaired = readJournal(tmp.path);
     EXPECT_FALSE(repaired.truncatedTail);
@@ -307,6 +314,27 @@ TEST(JournalDeathTest, FileWithoutHeaderRecordIsFatal)
     }
     EXPECT_EXIT(readJournal(tmp.path),
                 testing::ExitedWithCode(1), "header record");
+}
+
+TEST(JournalDeathTest, VersionOneJournalIsRefusedByItsVersion)
+{
+    TempPath tmp("v1");
+    {
+        // v1 wrote its header as two u32 fields, which a v2 header
+        // does not decode from.
+        std::FILE* f = std::fopen(tmp.path.c_str(), "wb");
+        ASSERT_NE(f, nullptr);
+        ByteWriter header;
+        header.u32(kJournalMagic);
+        header.u32(1);
+        const std::string record = encodeFrame(
+            static_cast<std::uint8_t>(JournalRecord::Header),
+            header.bytes());
+        std::fwrite(record.data(), 1, record.size(), f);
+        std::fclose(f);
+    }
+    EXPECT_EXIT(readJournal(tmp.path), testing::ExitedWithCode(1),
+                "want journal version 2");
 }
 
 // --- Handshake rejections and framing violations ------------------------
@@ -371,13 +399,13 @@ TEST(EndToEnd, WorkerAheadOfMasterIsRejectedWithReason)
         hello.nextPlanSeq = 7;
         ASSERT_TRUE(ahead.sendAll(encodeFrame(
             static_cast<std::uint8_t>(MsgType::Hello),
-            encodeHello(hello))));
+            JobCodec<Hello>::encode(hello))));
         const auto reply = readOneFrame(ahead, parser);
         ASSERT_TRUE(reply.has_value());
         EXPECT_EQ(reply->type,
                   static_cast<std::uint8_t>(MsgType::HelloReject));
         const std::string reason =
-            decodeText(reply->payload, "HelloReject");
+            JobCodec<HelloReject>::decode(reply->payload).reason;
         EXPECT_NE(reason.find("ahead of the master"),
                   std::string::npos);
         EXPECT_NE(reason.find("--resume"), std::string::npos);
@@ -478,17 +506,17 @@ TEST(EndToEnd, WorkerReconnectsAfterMidPlanCutAndResumes)
         EXPECT_TRUE(helloFrame.has_value());
         EXPECT_EQ(helloFrame->type,
                   static_cast<std::uint8_t>(MsgType::Hello));
-        const Hello hello = decodeHello(helloFrame->payload);
+        const auto hello = JobCodec<Hello>::decode(helloFrame->payload);
         HelloAck ack;
         ack.workerId = workerId;
         EXPECT_TRUE(conn.sendAll(encodeFrame(
             static_cast<std::uint8_t>(MsgType::HelloAck),
-            encodeHelloAck(ack))));
+            JobCodec<HelloAck>::encode(ack))));
         PlanCatchUp catchUp;
         catchUp.fromSeq = hello.nextPlanSeq;
         EXPECT_TRUE(conn.sendAll(encodeFrame(
             static_cast<std::uint8_t>(MsgType::PlanCatchUp),
-            encodePlanCatchUp(catchUp))));
+            JobCodec<PlanCatchUp>::encode(catchUp))));
         return hello;
     };
 
@@ -499,7 +527,7 @@ TEST(EndToEnd, WorkerReconnectsAfterMidPlanCutAndResumes)
     begin.fingerprint = fingerprint;
     const std::string beginFrame = encodeFrame(
         static_cast<std::uint8_t>(MsgType::PlanBegin),
-        encodePlanBegin(begin));
+        JobCodec<PlanBegin>::encode(begin));
 
     // Connection 1: handshake, start the plan, deal job 0, take its
     // result — then vanish, as a crashed network link would.
@@ -524,12 +552,12 @@ TEST(EndToEnd, WorkerReconnectsAfterMidPlanCutAndResumes)
         assign.jobIndex = 0;
         ASSERT_TRUE(conn.sendAll(encodeFrame(
             static_cast<std::uint8_t>(MsgType::JobAssign),
-            encodeJobAssign(assign))));
+            JobCodec<JobAssign>::encode(assign))));
         auto result = readProtocolFrame(conn, parser);
         ASSERT_TRUE(result.has_value());
         EXPECT_EQ(result->type,
                   static_cast<std::uint8_t>(MsgType::JobResult));
-        EXPECT_EQ(decodeJobResult(result->payload).payloadOrError,
+        EXPECT_EQ(JobCodec<JobResult>::decode(result->payload).outcome.payload,
                   "result0");
         conn.close(); // mid-plan cut
     }
@@ -558,12 +586,12 @@ TEST(EndToEnd, WorkerReconnectsAfterMidPlanCutAndResumes)
         assign.jobIndex = 1;
         ASSERT_TRUE(conn.sendAll(encodeFrame(
             static_cast<std::uint8_t>(MsgType::JobAssign),
-            encodeJobAssign(assign))));
+            JobCodec<JobAssign>::encode(assign))));
         auto result = readProtocolFrame(conn, parser);
         ASSERT_TRUE(result.has_value());
         EXPECT_EQ(result->type,
                   static_cast<std::uint8_t>(MsgType::JobResult));
-        EXPECT_EQ(decodeJobResult(result->payload).payloadOrError,
+        EXPECT_EQ(JobCodec<JobResult>::decode(result->payload).outcome.payload,
                   "result1");
 
         PlanResults results;
@@ -574,7 +602,7 @@ TEST(EndToEnd, WorkerReconnectsAfterMidPlanCutAndResumes)
             ExecBackend::JobOutcome{"result1", ""});
         ASSERT_TRUE(conn.sendAll(encodeFrame(
             static_cast<std::uint8_t>(MsgType::PlanResults),
-            encodePlanResults(results))));
+            JobCodec<PlanResults>::encode(results))));
 
         workerThread.join();
         // Drain the worker's goodbye so its dtor send succeeds.
@@ -672,12 +700,10 @@ TEST(EndToEnd, ResumedMasterServesFullyJournaledPlanWithoutWorkers)
     {
         JournalWriter writer;
         writer.open(tmp.path);
-        writer.planBegin(0, "journaled", 2, fingerprint);
-        writer.job(0, 0, true, jobs[0].label, jobs[0].seed,
-                   "payload0", sampleDelta());
-        writer.job(0, 1, false, jobs[1].label, jobs[1].seed,
-                   "it broke", "");
-        writer.planEnd(0);
+        writer.planBegin({0, "journaled", 2, fingerprint});
+        writer.job(jobRecord(0, 0, {"payload0", ""}));
+        writer.job(jobRecord(0, 1, {"", "it broke"}, {}));
+        writer.planEnd({0});
     }
 
     MasterOptions options;
@@ -704,9 +730,9 @@ TEST(ResumeDeathTest, ReplayedPlanWithWrongFingerprintIsFatal)
     {
         JournalWriter writer;
         writer.open(tmp.path);
-        writer.planBegin(0, "journaled", 1, 0xdeadbeefu);
-        writer.job(0, 0, true, "job0", 100, "payload0", "");
-        writer.planEnd(0);
+        writer.planBegin({0, "journaled", 1, 0xdeadbeefu});
+        writer.job(jobRecord(0, 0, {"payload0", ""}, {}));
+        writer.planEnd({0});
     }
     MasterOptions options;
     options.port = 0;
@@ -718,4 +744,26 @@ TEST(ResumeDeathTest, ReplayedPlanWithWrongFingerprintIsFatal)
     EXPECT_EXIT(
         master.executePlan("journaled", trivialJobs(1), nullptr),
         testing::ExitedWithCode(1), "fingerprint");
+}
+
+// A journaled stats delta the registry refuses ends the resumed master
+// through the journal's corrupt-file error, not an uncaught exception.
+TEST(ResumeDeathTest, CorruptJournaledStatsDeltaIsFatal)
+{
+    TempPath tmp("resume_delta");
+    {
+        StatsDelta corrupt;
+        corrupt.histograms = {
+            {"sim.test.lat", {{1.0, -1.0}, {0, 1, 0}, 1, 0.5}}};
+        JournalWriter writer;
+        writer.open(tmp.path);
+        writer.planBegin({0, "journaled", 1, 0xdeadbeefu});
+        writer.job(jobRecord(0, 0, {"payload0", ""}, corrupt));
+    }
+    MasterOptions options;
+    options.port = 0;
+    options.journalPath = tmp.path;
+    options.resume = true;
+    EXPECT_EXIT({ MasterBackend master(options); },
+                testing::ExitedWithCode(1), "is corrupt");
 }

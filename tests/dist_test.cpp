@@ -1,9 +1,10 @@
 /**
  * @file
- * Distributed-runner tests: message codecs, the job-result codec, plan
- * fingerprints, stats-delta shipping, and an in-process master/worker
- * end-to-end run including the version-mismatch handshake rejection.
- * Framing lives in frame_test.cpp. The full
+ * Distributed-runner tests: message and journal-record round trips, the
+ * job-result codec, plan fingerprints, stats-delta shipping and
+ * checking, and in-process master/worker end-to-end runs including the
+ * version-mismatch handshake rejection and a worker dropped for a
+ * corrupt stats delta. Framing lives in frame_test.cpp. The full
  * kill-a-worker-mid-sweep artifact check lives in ctest as
  * dist_identity_* / dist_kill_* (tools/golden_check.py --mode dist*).
  */
@@ -14,11 +15,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "dist/framing.hpp"
+#include "dist/journal.hpp"
 #include "dist/master.hpp"
 #include "dist/protocol.hpp"
 #include "dist/socket.hpp"
@@ -33,48 +36,184 @@ using codecrunch::runner::JobCodec;
 
 // --- Message codecs -----------------------------------------------------
 
-TEST(Protocol, HelloRoundTrip)
+namespace {
+
+template <typename M>
+M
+roundTrip(const M& message)
 {
-    Hello in;
-    in.pid = 4242;
-    in.connectAttempts = 3;
-    const Hello out = decodeHello(encodeHello(in));
-    EXPECT_EQ(out.magic, kMagic);
-    EXPECT_EQ(out.version, kProtocolVersion);
-    EXPECT_EQ(out.pid, 4242u);
-    EXPECT_EQ(out.connectAttempts, 3u);
+    return JobCodec<M>::decode(JobCodec<M>::encode(message));
+}
+
+void
+expectSameOutcome(const JobOutcome& a, const JobOutcome& b)
+{
+    EXPECT_EQ(a.payload, b.payload);
+    EXPECT_EQ(a.error, b.error);
+}
+
+void
+expectSameOutcomes(const std::vector<JobOutcome>& a,
+                   const std::vector<JobOutcome>& b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i)
+        expectSameOutcome(a[i], b[i]);
+}
+
+void
+expectSameStats(const StatsDelta& a, const StatsDelta& b)
+{
+    ASSERT_EQ(a.counters.size(), b.counters.size());
+    for (std::size_t i = 0; i < a.counters.size(); ++i) {
+        EXPECT_EQ(a.counters[i].name, b.counters[i].name);
+        EXPECT_EQ(a.counters[i].value, b.counters[i].value);
+    }
+    ASSERT_EQ(a.gauges.size(), b.gauges.size());
+    for (std::size_t i = 0; i < a.gauges.size(); ++i) {
+        EXPECT_EQ(a.gauges[i].name, b.gauges[i].name);
+        EXPECT_EQ(a.gauges[i].value, b.gauges[i].value);
+    }
+    ASSERT_EQ(a.histograms.size(), b.histograms.size());
+    for (std::size_t i = 0; i < a.histograms.size(); ++i) {
+        const auto& x = a.histograms[i];
+        const auto& y = b.histograms[i];
+        EXPECT_EQ(x.name, y.name);
+        EXPECT_EQ(x.value.bounds, y.value.bounds);
+        EXPECT_EQ(x.value.counts, y.value.counts);
+        EXPECT_EQ(x.value.count, y.value.count);
+        EXPECT_EQ(x.value.sum, y.value.sum);
+    }
+}
+
+/** A delta with every field set (no value equals its default). */
+StatsDelta
+sampleStats()
+{
+    StatsDelta stats;
+    stats.counters = {{"sim.test.hits", 7}, {"sim.test.miss", 3}};
+    stats.gauges = {{"sim.test.peak", 2.5}};
+    stats.histograms = {{"sim.test.lat", {{0.1, 1.0}, {4, 5, 6}, 15,
+                                          -0.1 + 0.3}}};
+    return stats;
+}
+
+} // namespace
+
+// Every field of every message and journal record is set to a value
+// other than its default, so a field missing from a visitFields comes
+// back default and fails its comparison.
+TEST(Protocol, EveryMessageAndRecordRoundTripsFieldByField)
+{
+    const JobOutcome okOutcome{"payload", ""};
+    const JobOutcome failed{"", "it broke"};
+
+    const Hello hello{kMagic + 1, kProtocolVersion + 1, 4242, 3, 9,
+                      0xf0, 1};
+    const Hello h = roundTrip(hello);
+    EXPECT_EQ(h.magic, hello.magic);
+    EXPECT_EQ(h.version, hello.version);
+    EXPECT_EQ(h.pid, hello.pid);
+    EXPECT_EQ(h.connectAttempts, hello.connectAttempts);
+    EXPECT_EQ(h.nextPlanSeq, hello.nextPlanSeq);
+    EXPECT_EQ(h.codecs, hello.codecs);
+    EXPECT_EQ(h.reconnect, hello.reconnect);
+
+    const HelloAck ack{kMagic + 2, kProtocolVersion + 2, 17, 1};
+    const HelloAck a = roundTrip(ack);
+    EXPECT_EQ(a.magic, ack.magic);
+    EXPECT_EQ(a.version, ack.version);
+    EXPECT_EQ(a.workerId, ack.workerId);
+    EXPECT_EQ(a.codec, ack.codec);
+
+    EXPECT_EQ(roundTrip(HelloReject{"too old"}).reason, "too old");
+    EXPECT_EQ(roundTrip(Error{"lost plan"}).text, "lost plan");
+
+    const PlanBegin begin{5, "fig07", 12, 0xfeedu};
+    const PlanBegin b = roundTrip(begin);
+    EXPECT_EQ(b.planSeq, begin.planSeq);
+    EXPECT_EQ(b.planName, begin.planName);
+    EXPECT_EQ(b.jobCount, begin.jobCount);
+    EXPECT_EQ(b.fingerprint, begin.fingerprint);
+
+    EXPECT_EQ(roundTrip(PlanAck{6}).planSeq, 6u);
+    EXPECT_EQ(roundTrip(JobRequest{7}).planSeq, 7u);
+    EXPECT_EQ(roundTrip(Heartbeat{99}).nonce, 99u);
+
+    const JobAssign assign{8, 3};
+    const JobAssign as = roundTrip(assign);
+    EXPECT_EQ(as.planSeq, assign.planSeq);
+    EXPECT_EQ(as.jobIndex, assign.jobIndex);
+
+    for (const JobOutcome& outcome : {okOutcome, failed}) {
+        const JobResult result{9, 4, outcome, sampleStats()};
+        const JobResult r = roundTrip(result);
+        EXPECT_EQ(r.planSeq, result.planSeq);
+        EXPECT_EQ(r.jobIndex, result.jobIndex);
+        expectSameOutcome(r.outcome, result.outcome);
+        EXPECT_EQ(r.outcome.ok(), outcome.ok());
+        expectSameStats(r.stats, result.stats);
+    }
+
+    const PlanResults results{10, {okOutcome, failed}};
+    const PlanResults pr = roundTrip(results);
+    EXPECT_EQ(pr.planSeq, results.planSeq);
+    expectSameOutcomes(pr.outcomes, results.outcomes);
+
+    const PlanCatchUp catchUp{
+        11, {{0xabcu, {okOutcome}}, {0xdefu, {failed, okOutcome}}},
+        sampleStats()};
+    const PlanCatchUp cu = roundTrip(catchUp);
+    EXPECT_EQ(cu.fromSeq, catchUp.fromSeq);
+    ASSERT_EQ(cu.plans.size(), catchUp.plans.size());
+    for (std::size_t i = 0; i < cu.plans.size(); ++i) {
+        EXPECT_EQ(cu.plans[i].fingerprint,
+                  catchUp.plans[i].fingerprint);
+        expectSameOutcomes(cu.plans[i].outcomes,
+                           catchUp.plans[i].outcomes);
+    }
+    expectSameStats(cu.statsBaseline, catchUp.statsBaseline);
+
+    const JournalHeader header{kJournalMagic + 1, kJournalVersion + 1};
+    const JournalHeader jh = roundTrip(header);
+    EXPECT_EQ(jh.magic, header.magic);
+    EXPECT_EQ(jh.version, header.version);
+
+    const JournaledJob job{12, 2, "job2", 102, failed, sampleStats()};
+    const JournaledJob jj = roundTrip(job);
+    EXPECT_EQ(jj.planSeq, job.planSeq);
+    EXPECT_EQ(jj.jobIndex, job.jobIndex);
+    EXPECT_EQ(jj.label, job.label);
+    EXPECT_EQ(jj.seed, job.seed);
+    expectSameOutcome(jj.outcome, job.outcome);
+    expectSameStats(jj.stats, job.stats);
+
+    EXPECT_EQ(roundTrip(PlanEnd{13}).planSeq, 13u);
 }
 
 TEST(Protocol, TruncatedAndOversizedPayloadsAreRejected)
 {
-    const std::string hello = encodeHello(Hello{});
-    EXPECT_THROW(
-        decodeHello(std::string_view(hello).substr(0, 5)),
-        DecodeError);
-    EXPECT_THROW(decodeHello(hello + "x"), DecodeError);
+    const std::string hello = JobCodec<Hello>::encode({});
+    EXPECT_THROW(JobCodec<Hello>::decode(std::string_view(hello).substr(0, 5)),
+                 DecodeError);
+    EXPECT_THROW(JobCodec<Hello>::decode(hello + "x"), DecodeError);
 
     PlanBegin begin;
     begin.planName = "p";
-    const std::string plan = encodePlanBegin(begin);
+    const std::string plan = JobCodec<PlanBegin>::encode(begin);
     EXPECT_THROW(
-        decodePlanBegin(std::string_view(plan).substr(0, 9)),
+        JobCodec<PlanBegin>::decode(std::string_view(plan).substr(0, 9)),
         DecodeError);
-    EXPECT_THROW(decodeJobResult("garbage"), DecodeError);
-}
+    EXPECT_THROW(JobCodec<JobResult>::decode("garbage"), DecodeError);
 
-TEST(Protocol, PlanResultsRoundTrip)
-{
-    PlanResults in;
-    in.planSeq = 9;
-    in.outcomes.push_back(ExecBackend::JobOutcome{"payload", ""});
-    in.outcomes.push_back(ExecBackend::JobOutcome{"", "it broke"});
-    const PlanResults out = decodePlanResults(encodePlanResults(in));
-    EXPECT_EQ(out.planSeq, 9u);
-    ASSERT_EQ(out.outcomes.size(), 2u);
-    EXPECT_TRUE(out.outcomes[0].ok());
-    EXPECT_EQ(out.outcomes[0].payload, "payload");
-    EXPECT_FALSE(out.outcomes[1].ok());
-    EXPECT_EQ(out.outcomes[1].error, "it broke");
+    // Any cut of a nested message is short somewhere.
+    const std::string result =
+        JobCodec<JobResult>::encode({1, 2, {"payload", ""}, sampleStats()});
+    for (std::size_t cut = 0; cut < result.size(); ++cut)
+        EXPECT_THROW(JobCodec<JobResult>::decode(
+                         std::string_view(result).substr(0, cut)),
+                     DecodeError)
+            << "cut at " << cut;
 }
 
 // --- Job-result codec ---------------------------------------------------
@@ -221,11 +360,11 @@ TEST(Protocol, StatsDeltaShipsExactContributions)
     const auto after = workerSide.snapshot(obs::StatScope::Sim);
 
     obs::Registry masterSide;
-    applyStatsDelta(encodeStatsDelta(empty, after), masterSide);
-    // Apply twice from a fresh before-snapshot of the same job to
-    // model two jobs with identical contributions: counters add,
-    // gauges max-merge.
-    applyStatsDelta(encodeStatsDelta(empty, after), masterSide);
+    const StatsDelta delta = roundTrip(diffStats(empty, after));
+    applyStatsDelta(delta, masterSide);
+    // Apply twice to model two jobs with identical contributions:
+    // counters add, gauges max-merge.
+    applyStatsDelta(delta, masterSide);
 
     const auto merged = masterSide.snapshot(obs::StatScope::Sim);
     ASSERT_EQ(merged.counters.size(), 2u);
@@ -243,11 +382,89 @@ TEST(Protocol, StatsDeltaShipsExactContributions)
 
 TEST(Protocol, StatsDeltaRejectsGarbage)
 {
+    EXPECT_THROW(JobCodec<StatsDelta>::decode("junk"), DecodeError);
+}
+
+// A corrupt delta must be refused before anything is registered:
+// Histogram's constructor and Registry's re-registration checks would
+// otherwise end the process.
+TEST(Protocol, CorruptStatsDeltasAreDecodeErrors)
+{
     obs::Registry registry;
-    EXPECT_THROW(applyStatsDelta("junk", registry), DecodeError);
+    applyStatsDelta(sampleStats(), registry);
+
+    // One bound's sign flipped: the bounds no longer ascend.
+    StatsDelta flipped = sampleStats();
+    flipped.counters = {{"sim.test.fresh", 1}};
+    flipped.histograms[0].name = "sim.test.other";
+    auto& bound = flipped.histograms[0].value.bounds[1];
+    bound = std::copysign(bound, -1.0);
+    EXPECT_THROW(applyStatsDelta(roundTrip(flipped), registry),
+                 DecodeError);
+    // Checked before registering: the delta's counter is not there.
+    EXPECT_FALSE(registry.find("sim.test.fresh").has_value());
+    EXPECT_FALSE(registry.find("sim.test.other").has_value());
+
+    // A counter's name re-sent as a histogram.
+    StatsDelta renamed;
+    renamed.histograms = sampleStats().histograms;
+    renamed.histograms[0].name = "sim.test.hits";
+    EXPECT_THROW(applyStatsDelta(renamed, registry), DecodeError);
+
+    // The other checks: a non-finite bound, a counts length that does
+    // not match, a name sent twice, different bounds, and a name the
+    // registry holds in the wall scope.
+    registry.counter("wall.test.clock", obs::StatScope::Wall);
+    std::vector<StatsDelta> corrupt(5, sampleStats());
+    corrupt[0].histograms[0].value.bounds[0] =
+        std::numeric_limits<double>::quiet_NaN();
+    corrupt[1].histograms[0].value.counts.pop_back();
+    corrupt[2].counters = {{"sim.test.dup", 1}, {"sim.test.dup", 1}};
+    corrupt[3].histograms[0].value.bounds[1] = 2.0;
+    corrupt[4].counters[0].name = "wall.test.clock";
+    for (std::size_t i = 0; i < corrupt.size(); ++i)
+        EXPECT_THROW(applyStatsDelta(corrupt[i], registry),
+                     DecodeError)
+            << "case " << i;
+
+    // None of the refused deltas reached the registry.
+    const auto snap = registry.snapshot(obs::StatScope::Sim);
+    ASSERT_EQ(snap.counters.size(), 2u);
+    EXPECT_EQ(snap.counters[0].second, 7u);
+    ASSERT_EQ(snap.histograms.size(), 1u);
+    EXPECT_EQ(snap.histograms[0].second.count, 15u);
 }
 
 // --- End-to-end master/worker ------------------------------------------
+
+namespace {
+
+/**
+ * Blocking read of the next frame off a raw stream; nullopt on EOF.
+ * Skips the master's Heartbeat RTT probes: it sends them to every
+ * handshaken worker on its own clock, so under load one can arrive
+ * before any plan message.
+ */
+std::optional<Frame>
+readOneFrame(TcpStream& stream, FrameParser& parser)
+{
+    for (;;) {
+        if (auto frame = parser.next()) {
+            if (frame->type ==
+                static_cast<std::uint8_t>(MsgType::Heartbeat))
+                continue;
+            return frame;
+        }
+        char buffer[4096];
+        const long n = stream.recvSome(buffer, sizeof(buffer));
+        if (n <= 0)
+            return std::nullopt;
+        parser.feed(
+            std::string_view(buffer, static_cast<std::size_t>(n)));
+    }
+}
+
+} // namespace
 
 namespace {
 
@@ -286,28 +503,31 @@ TEST(EndToEnd, MasterAndWorkerExchangeJobsAndRejectBadVersions)
             master.executePlan("e2e", runnableJobs(), nullptr);
     });
 
-    // A wrong-version handshake must be answered with HelloReject.
-    {
+    // A wrong-version handshake must be answered with HelloReject, and
+    // so must a Hello in another version's layout, which does not
+    // decode at all (v3 sent u32 fields).
+    Hello wrongVersion;
+    wrongVersion.version = kProtocolVersion + 1000;
+    ByteWriter v3Hello;
+    v3Hello.u32(kMagic);
+    v3Hello.u32(3);
+    v3Hello.u64(1);            // pid
+    v3Hello.u32(1);            // connectAttempts
+    v3Hello.u64(0);            // nextPlanSeq
+    v3Hello.u32(kCodecBitLz4); // codecs
+    v3Hello.u8(0);             // reconnect
+    for (const std::string& hello :
+         {JobCodec<Hello>::encode(wrongVersion), v3Hello.take()}) {
         TcpStream bad = connectTcp("127.0.0.1", port, 15.0);
-        Hello hello;
-        hello.version = kProtocolVersion + 1000;
         ASSERT_TRUE(bad.sendAll(encodeFrame(
-            static_cast<std::uint8_t>(MsgType::Hello),
-            encodeHello(hello))));
+            static_cast<std::uint8_t>(MsgType::Hello), hello)));
         FrameParser parser;
-        std::optional<Frame> reply;
-        while (!reply) {
-            char buffer[4096];
-            const long n = bad.recvSome(buffer, sizeof(buffer));
-            ASSERT_GT(n, 0);
-            parser.feed(std::string_view(
-                buffer, static_cast<std::size_t>(n)));
-            reply = parser.next();
-        }
+        const auto reply = readOneFrame(bad, parser);
+        ASSERT_TRUE(reply.has_value());
         EXPECT_EQ(reply->type,
                   static_cast<std::uint8_t>(MsgType::HelloReject));
-        EXPECT_NE(decodeText(reply->payload, "HelloReject")
-                      .find("version"),
+        EXPECT_NE(JobCodec<HelloReject>::decode(reply->payload).reason.find(
+                      "version mismatch"),
                   std::string::npos);
     }
 
@@ -348,34 +568,6 @@ TEST(EndToEnd, MasterAndWorkerExchangeJobsAndRejectBadVersions)
     }
 }
 
-namespace {
-
-/**
- * Blocking read of the next frame off a raw stream; nullopt on EOF.
- * Skips the master's Heartbeat RTT probes: it sends them to every
- * handshaken worker on its own clock, so under load one can arrive
- * before any plan message.
- */
-std::optional<Frame>
-readOneFrame(TcpStream& stream, FrameParser& parser)
-{
-    for (;;) {
-        if (auto frame = parser.next()) {
-            if (frame->type ==
-                static_cast<std::uint8_t>(MsgType::Heartbeat))
-                continue;
-            return frame;
-        }
-        char buffer[4096];
-        const long n = stream.recvSome(buffer, sizeof(buffer));
-        if (n <= 0)
-            return std::nullopt;
-        parser.feed(
-            std::string_view(buffer, static_cast<std::size_t>(n)));
-    }
-}
-
-} // namespace
 
 // Regression for the end-of-plan deadlock: a worker dies holding the
 // last outstanding job *after* the pending queue drained, so the
@@ -430,7 +622,7 @@ TEST(EndToEnd, RequeueAfterLateWorkerLossWakesParkedWorker)
         hello.pid = 1;
         ASSERT_TRUE(victim.sendAll(encodeFrame(
             static_cast<std::uint8_t>(MsgType::Hello),
-            encodeHello(hello))));
+            JobCodec<Hello>::encode(hello))));
         auto ack = readOneFrame(victim, parser);
         ASSERT_TRUE(ack.has_value());
         ASSERT_EQ(ack->type,
@@ -443,14 +635,13 @@ TEST(EndToEnd, RequeueAfterLateWorkerLossWakesParkedWorker)
         ASSERT_TRUE(begin.has_value());
         ASSERT_EQ(begin->type,
                   static_cast<std::uint8_t>(MsgType::PlanBegin));
-        const PlanBegin planBegin =
-            decodePlanBegin(begin->payload);
+        const auto planBegin = JobCodec<PlanBegin>::decode(begin->payload);
         ASSERT_TRUE(victim.sendAll(encodeFrame(
             static_cast<std::uint8_t>(MsgType::PlanAck),
-            encodeSeqOnly(planBegin.planSeq))));
+            JobCodec<PlanAck>::encode({planBegin.planSeq}))));
         ASSERT_TRUE(victim.sendAll(encodeFrame(
             static_cast<std::uint8_t>(MsgType::JobRequest),
-            encodeSeqOnly(planBegin.planSeq))));
+            JobCodec<JobRequest>::encode({planBegin.planSeq}))));
         auto assign = readOneFrame(victim, parser);
         ASSERT_TRUE(assign.has_value());
         ASSERT_EQ(assign->type,
@@ -471,7 +662,7 @@ TEST(EndToEnd, RequeueAfterLateWorkerLossWakesParkedWorker)
         lateHello.pid = 2;
         ASSERT_TRUE(late.sendAll(encodeFrame(
             static_cast<std::uint8_t>(MsgType::Hello),
-            encodeHello(lateHello))));
+            JobCodec<Hello>::encode(lateHello))));
         auto lateAck = readOneFrame(late, lateParser);
         ASSERT_TRUE(lateAck.has_value());
         EXPECT_EQ(lateAck->type,
@@ -480,15 +671,14 @@ TEST(EndToEnd, RequeueAfterLateWorkerLossWakesParkedWorker)
         ASSERT_TRUE(lateCatchUp.has_value());
         ASSERT_EQ(lateCatchUp->type,
                   static_cast<std::uint8_t>(MsgType::PlanCatchUp));
-        const PlanCatchUp cu =
-            decodePlanCatchUp(lateCatchUp->payload);
+        const auto cu = JobCodec<PlanCatchUp>::decode(lateCatchUp->payload);
         EXPECT_EQ(cu.fromSeq, 0u);
-        EXPECT_TRUE(cu.entries.empty());
+        EXPECT_TRUE(cu.plans.empty());
         auto lateBegin = readOneFrame(late, lateParser);
         ASSERT_TRUE(lateBegin.has_value());
         EXPECT_EQ(lateBegin->type,
                   static_cast<std::uint8_t>(MsgType::PlanBegin));
-        EXPECT_EQ(decodePlanBegin(lateBegin->payload).planSeq,
+        EXPECT_EQ(JobCodec<PlanBegin>::decode(lateBegin->payload).planSeq,
                   planBegin.planSeq);
         late.close();
 
@@ -522,4 +712,89 @@ TEST(EndToEnd, RequeueAfterLateWorkerLossWakesParkedWorker)
     for (std::size_t i = 0; i < masterOutcomes.size(); ++i)
         EXPECT_EQ(workerOutcomes[i].payload,
                   masterOutcomes[i].payload);
+}
+
+// A stats delta the registry refuses is an ordinary DecodeError on the
+// master: the worker that sent it is dropped like any other protocol
+// violation, its job is re-dispatched, and the other workers are still
+// served. Neither the corrupt delta nor its forged result is kept.
+TEST(EndToEnd, CorruptStatsDeltaDropsOnlyThatWorker)
+{
+    MasterOptions options;
+    options.port = 0;
+    options.minWorkers = 1;
+    options.connectTimeout = 30.0;
+    MasterBackend master(options);
+    const std::uint16_t port = master.port();
+
+    std::vector<ExecBackend::JobOutcome> masterOutcomes;
+    std::thread masterThread([&] {
+        masterOutcomes =
+            master.executePlan("corrupt", runnableJobs(), nullptr);
+    });
+
+    // A hand-rolled worker takes a job and answers it with a forged
+    // result whose histogram bounds descend.
+    {
+        TcpStream rogue = connectTcp("127.0.0.1", port, 15.0);
+        FrameParser parser;
+        const auto sendMessage = [&](MsgType type,
+                                     const std::string& payload) {
+            return rogue.sendAll(encodeFrame(
+                static_cast<std::uint8_t>(type), payload));
+        };
+        const auto expectFrame = [&](MsgType type) {
+            auto frame = readOneFrame(rogue, parser);
+            EXPECT_TRUE(frame.has_value());
+            EXPECT_EQ(frame ? frame->type : 0,
+                      static_cast<std::uint8_t>(type));
+            return frame ? frame->payload : std::string();
+        };
+        ASSERT_TRUE(sendMessage(MsgType::Hello, JobCodec<Hello>::encode({})));
+        expectFrame(MsgType::HelloAck);
+        expectFrame(MsgType::PlanCatchUp);
+        const auto begin =
+            JobCodec<PlanBegin>::decode(expectFrame(MsgType::PlanBegin));
+        ASSERT_TRUE(sendMessage(MsgType::PlanAck,
+                                JobCodec<PlanAck>::encode({begin.planSeq})));
+        ASSERT_TRUE(
+            sendMessage(MsgType::JobRequest,
+                        JobCodec<JobRequest>::encode({begin.planSeq})));
+        const auto assign =
+            JobCodec<JobAssign>::decode(expectFrame(MsgType::JobAssign));
+        JobResult forged{assign.planSeq, assign.jobIndex,
+                         {"forged", ""}, {}};
+        forged.stats.histograms = {
+            {"sim.test.rogue", {{1.0, -1.0}, {0, 0, 1}, 1, 0.5}}};
+        ASSERT_TRUE(sendMessage(MsgType::JobResult,
+                                JobCodec<JobResult>::encode(forged)));
+        // Dropped: EOF, no further frame.
+        EXPECT_FALSE(readOneFrame(rogue, parser).has_value());
+    }
+
+    std::vector<ExecBackend::JobOutcome> workerOutcomes;
+    std::thread workerThread([&] {
+        WorkerOptions workerOptions;
+        workerOptions.host = "127.0.0.1";
+        workerOptions.port = port;
+        WorkerBackend worker(workerOptions);
+        workerOutcomes =
+            worker.executePlan("corrupt", runnableJobs(), nullptr);
+    });
+    masterThread.join();
+    workerThread.join();
+
+    ASSERT_EQ(masterOutcomes.size(), 6u);
+    for (int i = 0; i < 6; ++i) {
+        if (i == 4) {
+            EXPECT_FALSE(masterOutcomes[i].ok());
+        } else {
+            EXPECT_TRUE(masterOutcomes[i].ok());
+            EXPECT_EQ(masterOutcomes[i].payload,
+                      "result" + std::to_string(i));
+        }
+    }
+    ASSERT_EQ(workerOutcomes.size(), masterOutcomes.size());
+    EXPECT_FALSE(
+        obs::Registry::global().find("sim.test.rogue").has_value());
 }

@@ -4,7 +4,8 @@
  * feeds, compaction, malformed and oversized length prefixes), LZ4
  * frame bodies (round trip, raw fallback, corrupt bodies, the raw-size
  * bound), and seeded mutated streams of valid protocol frames pushed
- * through FrameParser and the protocol.hpp decoders. Nothing here opens
+ * through FrameParser and the protocol.hpp decoders, with every decoded
+ * stats delta applied to a scratch registry. Nothing here opens
  * a socket or starts a thread, so the sanitizer jobs run it whole.
  */
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "common/rng.hpp"
 #include "dist/framing.hpp"
 #include "dist/protocol.hpp"
+#include "obs/stats.hpp"
 
 using namespace codecrunch;
 using namespace codecrunch::dist;
@@ -219,6 +221,18 @@ TEST(FramingLz4, SixteenMiBOfZerosRoundTrips)
 
 namespace {
 
+/** A stats delta naming a counter, a gauge and a histogram. */
+StatsDelta
+sampleStats()
+{
+    obs::Registry registry;
+    const auto before = registry.snapshot(obs::StatScope::Sim);
+    registry.counter("sim.test.hits").add(7);
+    registry.gauge("sim.test.peak").observe(2.5);
+    registry.histogram("sim.test.lat", {0.1, 1.0, 10.0}).observe(0.5);
+    return diffStats(before, registry.snapshot(obs::StatScope::Sim));
+}
+
 /** One valid frame of each protocol message, raw and LZ4 bodies. */
 std::vector<std::string>
 validFrames()
@@ -231,33 +245,34 @@ validFrames()
     Hello hello;
     hello.pid = 4242;
     hello.nextPlanSeq = 3;
-    add(MsgType::Hello, encodeHello(hello));
+    add(MsgType::Hello, JobCodec<Hello>::encode(hello));
     HelloAck ack;
     ack.workerId = 2;
     ack.codec = kCodecLz4;
-    add(MsgType::HelloAck, encodeHelloAck(ack));
-    add(MsgType::HelloReject, encodeText("protocol version mismatch"));
-    add(MsgType::PlanBegin, encodePlanBegin({7, "fig07", 5, 0xfeedu}));
-    add(MsgType::PlanAck, encodeSeqOnly(7));
-    add(MsgType::JobRequest, encodeSeqOnly(7));
-    add(MsgType::JobAssign, encodeJobAssign({7, 3}));
+    add(MsgType::HelloAck, JobCodec<HelloAck>::encode(ack));
+    add(MsgType::HelloReject,
+        JobCodec<HelloReject>::encode({"protocol version mismatch"}));
+    add(MsgType::PlanBegin,
+        JobCodec<PlanBegin>::encode({7, "fig07", 5, 0xfeedu}));
+    add(MsgType::PlanAck, JobCodec<PlanAck>::encode({7}));
+    add(MsgType::JobRequest, JobCodec<JobRequest>::encode({7}));
+    add(MsgType::JobAssign, JobCodec<JobAssign>::encode({7, 3}));
     add(MsgType::Heartbeat, "");
-    add(MsgType::Heartbeat, encodeSeqOnly(99));
+    add(MsgType::Heartbeat, JobCodec<Heartbeat>::encode({99}));
     // Payloads past kFrameCompressMinBytes travel as LZ4 bodies.
     const std::string result(6000, 'r');
-    add(MsgType::JobResult, encodeJobResult({7, 3, result, "stats"}));
-    add(MsgType::JobFailed, encodeJobResult({7, 4, "boom", ""}));
-    PlanResults results;
-    results.planSeq = 7;
-    results.outcomes = {{result, ""}, {"", "job threw"}, {"ok", ""}};
-    const std::string resultsPayload = encodePlanResults(results);
-    add(MsgType::PlanResults, resultsPayload);
-    PlanCatchUp catchUp;
-    catchUp.fromSeq = 6;
-    catchUp.entries = {{0xabcu, resultsPayload}, {0xdefu, "x"}};
-    catchUp.statsBaseline = "baseline";
-    add(MsgType::PlanCatchUp, encodePlanCatchUp(catchUp));
-    add(MsgType::Error, encodeText("worker lost its plan"));
+    add(MsgType::JobResult,
+        JobCodec<JobResult>::encode({7, 3, {result, ""}, sampleStats()}));
+    add(MsgType::JobResult,
+        JobCodec<JobResult>::encode({7, 4, {"", "boom"}, {}}));
+    const std::vector<JobOutcome> outcomes = {
+        {result, ""}, {"", "job threw"}, {"ok", ""}};
+    add(MsgType::PlanResults, JobCodec<PlanResults>::encode({7, outcomes}));
+    add(MsgType::PlanCatchUp,
+        JobCodec<PlanCatchUp>::encode({6,
+                           {{0xabcu, outcomes}, {0xdefu, {{"x", ""}}}},
+                           sampleStats()}));
+    add(MsgType::Error, JobCodec<Error>::encode({"worker lost its plan"}));
     add(MsgType::Shutdown, "");
     add(MsgType::Bye, "");
     return frames;
@@ -265,51 +280,53 @@ validFrames()
 
 /**
  * Decode `frame`'s payload the way the master or worker would for its
- * type. Throws DecodeError when the payload is malformed.
+ * type; returns the stats delta it carries, if any. Throws DecodeError
+ * when the payload is malformed.
  */
-void
+std::optional<StatsDelta>
 decodePayload(const Frame& frame)
 {
     const std::string_view payload = frame.payload;
     switch (static_cast<MsgType>(frame.type)) {
     case MsgType::Hello:
-        decodeHello(payload);
+        JobCodec<Hello>::decode(payload);
         break;
     case MsgType::HelloAck:
-        decodeHelloAck(payload);
+        JobCodec<HelloAck>::decode(payload);
         break;
     case MsgType::HelloReject:
+        JobCodec<HelloReject>::decode(payload);
+        break;
     case MsgType::Error:
-        decodeText(payload, "text");
+        JobCodec<Error>::decode(payload);
         break;
     case MsgType::PlanBegin:
-        decodePlanBegin(payload);
+        JobCodec<PlanBegin>::decode(payload);
         break;
     case MsgType::PlanAck:
+        JobCodec<PlanAck>::decode(payload);
+        break;
     case MsgType::JobRequest:
-        decodeSeqOnly(payload, "seq");
+        JobCodec<JobRequest>::decode(payload);
         break;
     case MsgType::Heartbeat:
         if (!payload.empty())
-            decodeSeqOnly(payload, "Heartbeat");
+            JobCodec<Heartbeat>::decode(payload);
         break;
     case MsgType::JobAssign:
-        decodeJobAssign(payload);
+        JobCodec<JobAssign>::decode(payload);
         break;
     case MsgType::JobResult:
-    case MsgType::JobFailed:
-        decodeJobResult(payload);
-        break;
+        return JobCodec<JobResult>::decode(payload).stats;
     case MsgType::PlanResults:
-        decodePlanResults(payload);
+        JobCodec<PlanResults>::decode(payload);
         break;
     case MsgType::PlanCatchUp:
-        for (const auto& entry : decodePlanCatchUp(payload).entries)
-            decodePlanResults(entry.resultsPayload);
-        break;
+        return JobCodec<PlanCatchUp>::decode(payload).statsBaseline;
     default: // Shutdown, Bye and unknown tags carry nothing to decode
         break;
     }
+    return std::nullopt;
 }
 
 /** Byte offsets at which each frame of `frames` starts in their join. */
@@ -332,7 +349,11 @@ TEST(FrameStream, MutatedStreamsYieldFramesNothingOrDecodeErrors)
     constexpr int kStreams = 10000;
     const auto frames = validFrames();
     Rng rng(77);
-    std::size_t decoded = 0, payloadErrors = 0, streamErrors = 0;
+    // One registry across all streams, so a mutated name or bound can
+    // meet an instrument an earlier stream registered.
+    obs::Registry registry;
+    std::size_t decoded = 0, payloadErrors = 0, streamErrors = 0,
+                refusedDeltas = 0;
     for (int s = 0; s < kStreams; ++s) {
         std::vector<std::string> picked;
         for (auto k = rng.uniformInt(1, 6); k > 0; --k)
@@ -404,7 +425,14 @@ TEST(FrameStream, MutatedStreamsYieldFramesNothingOrDecodeErrors)
                 if (!frame)
                     break;
                 try {
-                    decodePayload(*frame);
+                    if (const auto stats = decodePayload(*frame)) {
+                        try {
+                            applyStatsDelta(*stats, registry);
+                        } catch (const DecodeError&) {
+                            ++refusedDeltas;
+                            throw;
+                        }
+                    }
                     ++decoded;
                 } catch (const DecodeError&) {
                     ++payloadErrors;
@@ -415,5 +443,6 @@ TEST(FrameStream, MutatedStreamsYieldFramesNothingOrDecodeErrors)
     // Every outcome happened, so each path above was exercised.
     EXPECT_GT(decoded, 0u);
     EXPECT_GT(payloadErrors, 0u);
+    EXPECT_GT(refusedDeltas, 0u);
     EXPECT_GT(streamErrors, 0u);
 }
