@@ -1,6 +1,6 @@
 /**
  * @file
- * Simulation-core scaling bench: how far the rebuilt core (calendar
+ * Simulation-core scaling bench: how far the rebuilt core (4-ary heap
  * event queue, one in-flight entry per core) pushes catalog and
  * cluster size.
  *
@@ -181,10 +181,11 @@ main(int argc, char** argv)
         }
         table.print();
     }
-    paperNote("the calendar queue + per-core in-flight table keeps "
-              "per-event cost flat as functions x nodes grow; "
-              "events/sec, wall and RSS are hardware-dependent, so "
-              "they stay out of the byte-compared golden artifact");
+    paperNote("the event heap's 24-byte keys + per-core in-flight "
+              "table keep per-event cost within a small factor as "
+              "functions x nodes grow; events/sec, wall and RSS are "
+              "hardware-dependent, so they stay out of the "
+              "byte-compared golden artifact");
 
     // ---- strong-scaling pass (threads axis, local full-scale only) -
     std::vector<std::pair<std::size_t, double>> threadWall;
@@ -235,9 +236,10 @@ main(int argc, char** argv)
     // ---- stress budgets + serial-vs-threaded identity --------------
     if (options.stress && localOnly) {
         // Budgets hold ~3x headroom over a release build on a 2023-era
-        // 8-core machine; a regression that breaks them means the core
-        // lost its O(1)-per-event behavior, not that the machine was
-        // slow. ASSERTED, not just reported: ctest `stress` fails.
+        // 8-core machine; a regression that breaks them means the
+        // core's per-event cost grew past its O(log n) heap sifts, not
+        // that the machine was slow. ASSERTED, not just reported:
+        // ctest `stress` fails.
         constexpr double kWallBudgetSeconds = 900.0;
         constexpr double kRssBudgetMb = 16 * 1024.0;
         const auto& o = outcomes.front();

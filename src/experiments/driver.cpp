@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/logging.hpp"
+#include "faults/backoff.hpp"
 #include "obs/profiler.hpp"
 #include "obs/stats.hpp"
 
@@ -988,7 +989,7 @@ Driver::failAttempt(const Invocation& invocation, int attempt)
     }
     result_.metrics.recordRetry();
     ++pendingRetries_;
-    const Seconds delay = retryBackoff(
+    const Seconds delay = faults::retryBackoff(
         attempt, config_.retryBackoffBase, config_.retryBackoffCap);
     queue_.scheduleAfter(delay, [this, invocation, attempt] {
         --pendingRetries_;

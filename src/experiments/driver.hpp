@@ -22,7 +22,6 @@
 
 #include "cluster/cluster.hpp"
 #include "common/rng.hpp"
-#include "faults/backoff.hpp"
 #include "faults/fault_plan.hpp"
 #include "metrics/collector.hpp"
 #include "obs/trace.hpp"
@@ -91,18 +90,6 @@ struct DriverConfig {
      */
     Seconds statsIntervalSeconds = 0.0;
 };
-
-/**
- * Delay before retry number `attempt` + 1: capped exponential backoff
- * min(cap, base x 2^(attempt-1)) for attempt >= 1. One shared shape
- * (faults/backoff.hpp) serves both the simulated invocation-retry path
- * here and the real worker-reconnect path in dist/worker.cpp.
- */
-inline Seconds
-retryBackoff(int attempt, Seconds base, Seconds cap)
-{
-    return faults::retryBackoff(attempt, base, cap);
-}
 
 /**
  * One per-interval delta snapshot of a run's flow counters

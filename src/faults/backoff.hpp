@@ -2,7 +2,7 @@
  * @file
  * Capped exponential backoff, shared by every retry loop in the tree.
  *
- * The simulated invocation-retry path (experiments/driver.hpp) and the
+ * The simulated invocation-retry path (experiments/driver.cpp) and the
  * real worker-reconnect path (dist/worker.cpp) intentionally use the
  * SAME delay shape: min(cap, base x 2^(attempt-1)) for attempt >= 1.
  * Keeping one definition means a tuning change (or a bug fix in the

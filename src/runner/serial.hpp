@@ -17,6 +17,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -162,7 +163,13 @@ struct DecodeVisitor {
         if (n > r.remaining())
             throw DecodeError("vector length exceeds payload");
         vec.clear();
-        vec.reserve(static_cast<std::size_t>(n));
+        // A length that passes that check can still ask for sizeof(E)
+        // bytes of memory per byte of payload, so reserve no more
+        // elements than the remaining bytes hold at sizeof(E) apiece.
+        // Elements that encode in at least sizeof(E) bytes, as
+        // invocation records and minute bins do, still reserve n.
+        vec.reserve(std::min(static_cast<std::size_t>(n),
+                             r.remaining() / sizeof(E)));
         for (std::uint64_t i = 0; i < n; ++i) {
             E element = E();
             (*this)(element);

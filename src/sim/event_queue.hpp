@@ -1,39 +1,30 @@
 /**
  * @file
- * Discrete-event queue with stable ordering and cancellation, built as
- * a hierarchical calendar (ladder) queue instead of a binary heap.
+ * Discrete-event queue with stable ordering and cancellation: a 4-ary
+ * min-heap of small keys (DESIGN.md "Simulation core at scale").
  *
- * Layout (DESIGN.md "Simulation core at scale"):
+ * Each pending event is one 24-byte key {when, seq, state} in the
+ * heap. The callback lives in the pooled, refcounted state slot the
+ * event's handles share, so sifts move plain keys, never a
+ * std::function. Ordering is the total order (when, seq) with seq a
+ * monotone insertion counter: events at equal timestamps fire in
+ * insertion order (FIFO), which keeps simulations bit-reproducible.
+ * Any correct priority queue over that order fires the same sequence,
+ * so every golden artifact is independent of the structure; the
+ * differential suite in tests/sim_core_test.cpp pits this queue
+ * against the original binary heap (tests/legacy_heap_queue.hpp) over
+ * randomized op streams to prove it.
  *
- *   Top     unsorted pile of far-future events (when >= topStart_).
- *   Rungs   a stack of bucket arrays. Each rung spans a time range cut
- *           into equal-width buckets; an oversized bucket is re-spread
- *           into a deeper rung with finer buckets when it is reached,
- *           and a rung is dropped once its last bucket is taken.
- *   Bottom  a small sorted vector of near-now events, consumed front
- *           to back. A sorted insert that leaves more than 64 live
- *           entries turns them into a new deepest rung; the consumed
- *           prefix is dropped once it outgrows the live tail.
+ * The heap is 4-ary rather than binary: half the levels per sift, and
+ * a node's four children share one or two cache lines.
  *
- * Inserts append to Top or a bucket in O(1) and Bottom stays short,
- * so enqueue/dequeue are O(1) amortized at trace densities (vs
- * O(log n) heap sifts). Ordering is
- * the total order (when, seq) with seq a monotone insertion counter,
- * exactly the comparator the old heap used: events at equal timestamps
- * fire in insertion order (FIFO), which keeps simulations
- * bit-reproducible — the fire sequence, and therefore every golden
- * artifact, is unchanged by this rewrite. The differential suite in
- * tests/sim_core_test.cpp pits this queue against the retired heap
- * implementation (tests/legacy_heap_queue.hpp) over randomized op
- * streams to prove it.
+ * Cancellation is lazy: a cancelled event's key stays in the heap and
+ * is discarded when it reaches the root, keeping cancel() O(1). When
+ * cancelled keys outnumber live ones, they are swept out and the heap
+ * is rebuilt, bounding memory at ~2x the live count under keep-alive
+ * retargeting churn.
  *
- * Cancellation is lazy: a cancelled event stays where it is and is
- * skipped when reached, keeping cancel() O(1). When cancelled entries
- * outnumber live ones all containers are swept in place (stable, so
- * the fire sequence is unchanged), bounding memory at ~2x the live
- * count under keep-alive retargeting churn.
- *
- * Handle state is pooled: EventHandle and the queue entry share a
+ * Handle state is pooled: EventHandle and the heap key share a
  * refcounted slot from a deque-backed pool instead of a per-event
  * shared_ptr control block, so scheduling allocates nothing on the
  * steady state. Handles may outlive the queue (the pool is kept alive
@@ -42,13 +33,10 @@
  */
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <iterator>
-#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -69,11 +57,13 @@ namespace detail {
 enum class EventStatus : std::uint8_t { Pending, Fired, Cancelled };
 
 /**
- * Refcounted per-event state shared by handles and the queue entry.
- * Lives in StatePool's deque; recycled through a LIFO free list when
- * the last reference drops.
+ * Refcounted per-event state shared by handles and the heap key, and
+ * the home of the event's callback until it fires or its key is
+ * dropped. Lives in StatePool's deque; recycled through a LIFO free
+ * list when the last reference drops.
  */
 struct EventState {
+    EventCallback callback;
     EventStatus status = EventStatus::Pending;
     std::uint32_t refs = 0;
     EventState* nextFree = nullptr;
@@ -91,7 +81,7 @@ struct StatePool {
     EventState* freeList = nullptr;
 
     EventState*
-    acquire()
+    acquire(EventCallback callback)
     {
         EventState* state;
         if (freeList) {
@@ -100,8 +90,9 @@ struct StatePool {
         } else {
             state = &states.emplace_back();
         }
+        state->callback = std::move(callback);
         state->status = EventStatus::Pending;
-        state->refs = 1; // the queue entry's reference
+        state->refs = 1; // the heap key's reference
         state->nextFree = nullptr;
         return state;
     }
@@ -218,7 +209,7 @@ class EventHandle
 };
 
 /**
- * Calendar/ladder priority queue of timestamped callbacks.
+ * Min-heap priority queue of timestamped callbacks.
  */
 class EventQueue
 {
@@ -232,7 +223,13 @@ class EventQueue
     EventQueue(const EventQueue&) = delete;
     EventQueue& operator=(const EventQueue&) = delete;
 
-    ~EventQueue() { pool_->queue = nullptr; }
+    /** Pending callbacks are destroyed here; handles stay valid. */
+    ~EventQueue()
+    {
+        pool_->queue = nullptr;
+        for (const Key& key : heap_)
+            drop(key);
+    }
 
     /**
      * Schedule a callback at an absolute time.
@@ -243,15 +240,16 @@ class EventQueue
     EventHandle
     schedule(Seconds when, EventCallback callback)
     {
-        // A NaN would break earlier()'s strict weak order and, like
-        // +inf, make bucketIndex() cast a non-finite position.
+        // A NaN would break earlier()'s strict weak order; an
+        // infinite time would leave no later time to schedule at.
         if (!std::isfinite(when))
             panic("EventQueue: non-finite event time ", when);
         if (when < now_)
             panic("EventQueue: scheduling into the past (", when,
                   " < ", now_, ")");
-        detail::EventState* state = pool_->acquire();
-        insert(Entry{when, nextSeq_++, state, std::move(callback)});
+        detail::EventState* state = pool_->acquire(std::move(callback));
+        heap_.push_back(Key{when, nextSeq_++, state});
+        siftUp(heap_.size() - 1);
         ++live_;
         return EventHandle(pool_, state);
     }
@@ -273,17 +271,10 @@ class EventQueue
     bool empty() const { return live_ == 0; }
 
     /**
-     * Entries currently held across Top/rungs/Bottom, including
-     * lazily-cancelled ones (compaction keeps this bounded by ~2x
-     * pending()). For tests.
+     * Keys currently in the heap, including lazily-cancelled ones
+     * (compaction keeps this bounded by ~2x pending()). For tests.
      */
-    std::size_t storedEntries() const { return entries_; }
-
-    /**
-     * Entries currently held in Bottom, including its consumed prefix
-     * (bounded by ~2x its live tail). For tests.
-     */
-    std::size_t bottomEntries() const { return bottom_.size(); }
+    std::size_t storedEntries() const { return heap_.size(); }
 
     /**
      * Fire the earliest live event.
@@ -292,16 +283,17 @@ class EventQueue
     bool
     step()
     {
-        Entry* head = peekLive();
-        if (!head)
+        if (!liveRoot())
             return false;
-        Entry entry = std::move(*head);
-        consumeHead();
+        const Key key = popRoot();
         --live_;
-        now_ = entry.when;
-        entry.state->status = detail::EventStatus::Fired;
-        releaseEntryState(entry);
-        entry.callback();
+        now_ = key.when;
+        key.state->status = detail::EventStatus::Fired;
+        // Released before the callback runs, so an event the callback
+        // schedules reuses this slot when no handle holds it.
+        EventCallback callback = std::move(key.state->callback);
+        release(key.state);
+        callback();
         return true;
     }
 
@@ -320,12 +312,8 @@ class EventQueue
     void
     runUntil(Seconds limit)
     {
-        for (;;) {
-            Entry* head = peekLive();
-            if (!head || head->when > limit)
-                break;
+        while (liveRoot() && heap_.front().when <= limit)
             step();
-        }
         if (now_ < limit)
             now_ = limit;
     }
@@ -333,277 +321,102 @@ class EventQueue
   private:
     friend class EventHandle;
 
-    struct Entry {
+    /** One heap slot: the sort key and the event it stands for. */
+    struct Key {
         Seconds when;
         std::uint64_t seq;
         detail::EventState* state;
-        EventCallback callback;
     };
 
     /** (when, seq) ascending: the queue's one total order. */
     static bool
-    earlier(const Entry& a, const Entry& b)
+    earlier(const Key& a, const Key& b)
     {
         if (a.when != b.when)
             return a.when < b.when;
         return a.seq < b.seq;
     }
 
-    /** One bucket array spanning [start, start + width * buckets). */
-    struct Rung {
-        Seconds start = 0.0;
-        Seconds width = 1.0;
-        std::size_t nextBucket = 0; // buckets below this are spent
-        std::size_t count = 0;      // entries currently stored
-        std::vector<std::vector<Entry>> buckets;
-    };
+    // Slot i's children are 4i+1 .. 4i+4 and its parent is (i-1)/4.
 
-    // Tuning: buckets re-spread, and Bottom spills into a rung, once
-    // they exceed kSortThreshold entries; rungs have at most
-    // kMaxBuckets buckets; recursion stops at kMaxDepth (degenerate
-    // distributions fall back to sorting).
-    static constexpr std::size_t kSortThreshold = 64;
-    static constexpr std::size_t kMaxBuckets = 1u << 15;
-    static constexpr std::size_t kMaxDepth = 24;
-
-    /**
-     * Bucket index for `when` in `rung`: monotone non-decreasing in
-     * `when` regardless of floating-point rounding (clamped at both
-     * ends), so inter-bucket ordering is always consistent with the
-     * (when, seq) order.
-     */
-    static std::size_t
-    bucketIndex(const Rung& rung, Seconds when)
-    {
-        const double pos = (when - rung.start) / rung.width;
-        if (pos <= 0.0)
-            return 0;
-        const double cap =
-            static_cast<double>(rung.buckets.size() - 1);
-        return pos >= cap ? rung.buckets.size() - 1
-                          : static_cast<std::size_t>(pos);
-    }
-
-    /** Route one entry to Top, a rung bucket, or sorted Bottom. */
     void
-    insert(Entry entry)
+    siftUp(std::size_t i)
     {
-        ++entries_;
-        if (!ladderActive_ || entry.when >= topStart_) {
-            topMin_ = std::min(topMin_, entry.when);
-            topMax_ = std::max(topMax_, entry.when);
-            top_.push_back(std::move(entry));
-            return;
+        const Key key = heap_[i];
+        while (i > 0) {
+            const std::size_t parent = (i - 1) / 4;
+            if (!earlier(key, heap_[parent]))
+                break;
+            heap_[i] = heap_[parent];
+            i = parent;
         }
-        for (Rung& rung : rungs_) {
-            const std::size_t idx = bucketIndex(rung, entry.when);
-            // A bucket at or past the consumption cursor still sorts
-            // strictly after everything in deeper rungs and Bottom
-            // (all of which came from earlier buckets), so placing
-            // the entry there preserves the total order.
-            if (idx >= rung.nextBucket) {
-                rung.buckets[idx].push_back(std::move(entry));
-                ++rung.count;
-                return;
-            }
-        }
-        bottomInsert(std::move(entry));
+        heap_[i] = key;
     }
 
-    /**
-     * Sorted insert into the live tail of Bottom. A tail grown past
-     * bottomLimit_ moves into a new deepest rung: every Bottom entry
-     * sorts before all unconsumed rung buckets, so this only
-     * reorganizes. When the tail cannot be split (one timestamp, or
-     * kMaxDepth) it stays sorted and the limit doubles until the next
-     * refill, so a same-timestamp burst is not re-examined on every
-     * insert.
-     */
     void
-    bottomInsert(Entry entry)
+    siftDown(std::size_t i)
     {
-        bottom_.insert(std::upper_bound(liveBottom(), bottom_.end(),
-                                        entry, earlier),
-                       std::move(entry));
-        const std::size_t live = bottom_.size() - bottomHead_;
-        if (live <= bottomLimit_)
-            return;
-        if (rungWidth(bottom_[bottomHead_].when, bottom_.back().when,
-                      live) == 0.0) {
-            bottomLimit_ *= 2;
-            return;
-        }
-        std::vector<Entry> tail(std::make_move_iterator(liveBottom()),
-                                std::make_move_iterator(bottom_.end()));
-        bottom_.clear();
-        bottomHead_ = 0;
-        spread(std::move(tail));
-    }
-
-    /**
-     * Earliest live entry, discarding cancelled ones and pulling work
-     * down from rungs/Top as Bottom drains. Returns nullptr when the
-     * queue is empty. Pure reorganization: never reorders live events.
-     */
-    Entry*
-    peekLive()
-    {
+        const std::size_t n = heap_.size();
+        const Key key = heap_[i];
         for (;;) {
-            while (bottomHead_ < bottom_.size()) {
-                Entry& entry = bottom_[bottomHead_];
-                if (entry.state->status ==
-                    detail::EventStatus::Pending)
-                    return &entry;
-                releaseEntryState(entry);
-                --entries_;
-                ++bottomHead_;
-            }
-            bottom_.clear();
-            bottomHead_ = 0;
-            bottomLimit_ = kSortThreshold;
-            if (!refillBottom())
-                return nullptr;
+            const std::size_t first = 4 * i + 1;
+            if (first >= n)
+                break;
+            const std::size_t end = first + 4 < n ? first + 4 : n;
+            std::size_t least = first;
+            for (std::size_t c = first + 1; c < end; ++c)
+                if (earlier(heap_[c], heap_[least]))
+                    least = c;
+            if (!earlier(heap_[least], key))
+                break;
+            heap_[i] = heap_[least];
+            i = least;
         }
+        heap_[i] = key;
+    }
+
+    /** Remove and return the root key. The heap must be non-empty. */
+    Key
+    popRoot()
+    {
+        const Key root = heap_.front();
+        heap_.front() = heap_.back();
+        heap_.pop_back();
+        if (!heap_.empty())
+            siftDown(0);
+        return root;
     }
 
     /**
-     * Drop the entry peekLive() returned. The consumed prefix is
-     * erased once it outgrows the live tail, so each erase shifts no
-     * more entries than were consumed since the last one: pops stay
-     * O(1) amortized and Bottom holds O(live) entries even in an
-     * epoch that never drains it.
-     */
-    void
-    consumeHead()
-    {
-        --entries_;
-        ++bottomHead_;
-        if (2 * bottomHead_ > bottom_.size()) {
-            bottom_.erase(bottom_.begin(), liveBottom());
-            bottomHead_ = 0;
-        }
-    }
-
-    /** First entry of Bottom's live (unconsumed) tail. */
-    std::vector<Entry>::iterator
-    liveBottom()
-    {
-        return bottom_.begin() +
-               static_cast<std::ptrdiff_t>(bottomHead_);
-    }
-
-    /**
-     * Pull the next batch of entries toward Bottom: the deepest rung's
-     * next non-empty bucket, or — when the ladder is drained — a spill
-     * of the entire Top pile into a fresh rung epoch.
-     * @return false when no entries remain anywhere.
+     * Discard cancelled keys at the root.
+     * @return true when the root is a live event.
      */
     bool
-    refillBottom()
+    liveRoot()
     {
-        while (!rungs_.empty()) {
-            Rung& rung = rungs_.back();
-            if (rung.count == 0) {
-                rungs_.pop_back();
-                continue;
-            }
-            std::size_t idx = rung.nextBucket;
-            while (idx < rung.buckets.size() &&
-                   rung.buckets[idx].empty())
-                ++idx;
-            if (idx >= rung.buckets.size())
-                panic("EventQueue: rung count ", rung.count,
-                      " but no occupied bucket");
-            std::vector<Entry> bucket = std::move(rung.buckets[idx]);
-            rung.buckets[idx].clear();
-            rung.count -= bucket.size();
-            rung.nextBucket = idx + 1;
-            // A spent rung passes every insert on to deeper rungs, so
-            // dropping it changes no order. Kept, it would let its
-            // last bucket (which takes everything past the rung's
-            // range) deepen the ladder by one rung per re-spread
-            // until kMaxDepth forces the sorted fallback.
-            if (rung.nextBucket == rung.buckets.size())
-                rungs_.pop_back();
-            spread(std::move(bucket));
-            return true;
+        while (!heap_.empty()) {
+            if (heap_.front().state->status ==
+                detail::EventStatus::Pending)
+                return true;
+            drop(popRoot());
         }
-        if (top_.empty()) {
-            // Fully drained: the next schedule starts a new epoch.
-            ladderActive_ = false;
-            return false;
-        }
-        // Spill Top. Future inserts at or past the old maximum go to
-        // the new Top; they carry higher seq than anything spilled
-        // here, so FIFO across the boundary is preserved.
-        std::vector<Entry> pile = std::move(top_);
-        top_.clear();
-        topStart_ = topMax_;
-        ladderActive_ = true;
-        topMin_ = std::numeric_limits<double>::infinity();
-        topMax_ = -std::numeric_limits<double>::infinity();
-        spread(std::move(pile));
-        return true;
+        return false;
     }
 
-    /**
-     * Bucket width of a new deepest rung for n entries spanning
-     * [lo, hi], or 0 when there is none: the ladder is at kMaxDepth,
-     * or the range is too narrow to split (e.g. one timestamp).
-     */
-    Seconds
-    rungWidth(Seconds lo, Seconds hi, std::size_t n) const
-    {
-        if (rungs_.size() >= kMaxDepth)
-            return 0.0;
-        const Seconds width =
-            (hi - lo) / static_cast<double>(std::min(kMaxBuckets, n));
-        return width > 0.0 && lo + width > lo ? width : 0.0;
-    }
-
-    /**
-     * Place a batch either sorted into (empty) Bottom or, when large
-     * and spreadable, into a new finer-grained rung. Same-timestamp
-     * bursts have zero range and take the sort path, which is what
-     * keeps FIFO intact across epoch boundaries.
-     */
+    /** Drop the heap key's reference on `state`. */
     void
-    spread(std::vector<Entry> entries)
+    release(detail::EventState* state)
     {
-        Seconds lo = std::numeric_limits<double>::infinity();
-        Seconds hi = -std::numeric_limits<double>::infinity();
-        for (const Entry& entry : entries) {
-            lo = std::min(lo, entry.when);
-            hi = std::max(hi, entry.when);
-        }
-        const std::size_t n = entries.size();
-        const Seconds width =
-            n > kSortThreshold ? rungWidth(lo, hi, n) : 0.0;
-        if (width > 0.0) {
-            Rung rung;
-            rung.start = lo;
-            rung.width = width;
-            rung.buckets.resize(std::min(kMaxBuckets, n));
-            for (Entry& entry : entries) {
-                const std::size_t idx = bucketIndex(rung, entry.when);
-                rung.buckets[idx].push_back(std::move(entry));
-            }
-            rung.count = n;
-            rungs_.push_back(std::move(rung));
-            return;
-        }
-        std::sort(entries.begin(), entries.end(), earlier);
-        bottom_ = std::move(entries);
-        bottomHead_ = 0;
+        if (--state->refs == 0)
+            pool_->recycle(state);
     }
 
-    /** Drop the queue-entry reference on `entry`'s state. */
+    /** Drop an unfired key: its callback goes with it. */
     void
-    releaseEntryState(Entry& entry)
+    drop(const Key& key)
     {
-        if (--entry.state->refs == 0)
-            pool_->recycle(entry.state);
-        entry.state = nullptr;
+        key.state->callback = nullptr;
+        release(key.state);
     }
 
     void
@@ -616,73 +429,37 @@ class EventQueue
     }
 
     /**
-     * Sweep cancelled entries out of every container once they exceed
-     * half of the stored total, bounding memory under schedule/cancel
-     * churn. Sweeps are stable, so live ordering is untouched. The
-     * small floor avoids sweep thrash on tiny queues.
+     * Sweep cancelled keys out once they exceed half of the heap, then
+     * rebuild it, bounding memory under schedule/cancel churn. The
+     * order is total, so the rebuild cannot change what fires when.
+     * The small floor avoids sweep thrash on tiny queues.
      */
     void
     maybeCompact()
     {
         constexpr std::size_t kMinEntriesToCompact = 64;
-        if (entries_ < kMinEntriesToCompact ||
-            entries_ - live_ <= entries_ / 2)
+        if (heap_.size() < kMinEntriesToCompact ||
+            heap_.size() - live_ <= heap_.size() / 2)
             return;
-        entries_ -= sweepVector(top_, 0);
-        for (Rung& rung : rungs_) {
-            for (auto& bucket : rung.buckets) {
-                const std::size_t removed = sweepVector(bucket, 0);
-                rung.count -= removed;
-                entries_ -= removed;
-            }
+        std::size_t out = 0;
+        for (const Key& key : heap_) {
+            if (key.state->status == detail::EventStatus::Pending)
+                heap_[out++] = key;
+            else
+                drop(key);
         }
-        entries_ -= sweepVector(bottom_, bottomHead_);
-    }
-
-    /** Stable in-place removal of dead entries from v[from..). */
-    std::size_t
-    sweepVector(std::vector<Entry>& v, std::size_t from)
-    {
-        std::size_t out = from;
-        std::size_t removed = 0;
-        for (std::size_t i = from; i < v.size(); ++i) {
-            if (v[i].state->status != detail::EventStatus::Pending) {
-                releaseEntryState(v[i]);
-                ++removed;
-            } else {
-                if (out != i)
-                    v[out] = std::move(v[i]);
-                ++out;
-            }
-        }
-        v.resize(out);
-        return removed;
+        heap_.resize(out);
+        // Floyd's build: sift each of the (out + 2) / 4 inner slots
+        // down, deepest first.
+        for (std::size_t i = (out + 2) / 4; i-- > 0;)
+            siftDown(i);
     }
 
     std::shared_ptr<detail::StatePool> pool_;
-
-    // Bottom: sorted ascending by (when, seq), consumed from
-    // bottomHead_ so pops are pointer bumps, not vector erases. A
-    // live tail longer than bottomLimit_ spills into a rung.
-    std::vector<Entry> bottom_;
-    std::size_t bottomHead_ = 0;
-    std::size_t bottomLimit_ = kSortThreshold;
-
-    std::vector<Rung> rungs_; // [0] outermost, back() deepest
-
-    // Top: unsorted far-future pile. While the ladder is active,
-    // events at or past topStart_ land here; min/max track the range
-    // of the next spill.
-    std::vector<Entry> top_;
-    Seconds topStart_ = 0.0;
-    Seconds topMin_ = std::numeric_limits<double>::infinity();
-    Seconds topMax_ = -std::numeric_limits<double>::infinity();
-    bool ladderActive_ = false;
-
+    std::vector<Key> heap_;
     Seconds now_ = 0.0;
     std::uint64_t nextSeq_ = 0;
-    std::size_t live_ = 0;    // pending entries
-    std::size_t entries_ = 0; // stored entries incl. cancelled
+    std::size_t live_ = 0; // pending keys
 };
 
 inline void

@@ -2,7 +2,8 @@
  * @file
  * Robustness-layer tests for the distributed runner: deterministic
  * fault injection (chaos schedules, FaultySocket byte integrity), the
- * crash journal (round trip, torn tail, malformed files), handshake
+ * crash journal (round trip, torn tail, malformed files, seeded
+ * mutations replayed in a forked child each), handshake
  * rejection reasons, oversized-frame connection drops, and end-to-end
  * reconnect / mid-sweep catch-up with real Master/WorkerBackends. LZ4
  * frame compression is tested in frame_test.cpp. The full-artifact invariants live
@@ -13,9 +14,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <future>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
 #include <vector>
@@ -335,6 +340,155 @@ TEST(JournalDeathTest, VersionOneJournalIsRefusedByItsVersion)
     }
     EXPECT_EXIT(readJournal(tmp.path), testing::ExitedWithCode(1),
                 "want journal version 2");
+}
+
+namespace {
+
+/** A delta naming a counter, a gauge and a histogram. */
+StatsDelta
+mixedDelta()
+{
+    obs::Registry registry;
+    const auto before = registry.snapshot(obs::StatScope::Sim);
+    registry.counter("sim.test.jobs").add(3);
+    registry.gauge("sim.test.peak").observe(2.5);
+    registry.histogram("sim.test.lat", {0.1, 1.0, 10.0}).observe(0.5);
+    return diffStats(before, registry.snapshot(obs::StatScope::Sim));
+}
+
+/** Read a whole file. */
+std::string
+fileBytes(const std::string& path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << is.rdbuf();
+    return bytes.str();
+}
+
+/** Split journal bytes into their framed records, in order. */
+std::vector<std::string>
+splitRecords(const std::string& bytes)
+{
+    std::vector<std::string> records;
+    for (std::size_t at = 0; at < bytes.size();) {
+        ByteReader reader(std::string_view(bytes).substr(at, 4));
+        const std::size_t size = 4 + reader.u32();
+        records.push_back(bytes.substr(at, size));
+        at += size;
+    }
+    return records;
+}
+
+/**
+ * One seeded mutation of `records`, joined back into a file. Kinds:
+ * 0 duplicates a record at another position, 1 swaps two records, 2
+ * rewrites a length prefix (near or far from true), 3 flips one to
+ * three bits, 4 truncates the file.
+ */
+std::string
+mutateJournal(std::vector<std::string> records, int kind, Rng& rng)
+{
+    const auto pick = [&] { return rng.next() % records.size(); };
+    if (kind == 0) {
+        const std::string copy = records[pick()];
+        const auto at = static_cast<std::ptrdiff_t>(pick());
+        records.insert(records.begin() + at, copy);
+    } else if (kind == 1) {
+        const std::size_t a = pick();
+        const std::size_t b = pick();
+        std::swap(records[a], records[b]);
+    } else if (kind == 2) {
+        std::string& record = records[pick()];
+        ByteReader reader(std::string_view(record).substr(0, 4));
+        const std::uint32_t length = rng.bernoulli(0.5)
+            ? reader.u32() +
+                static_cast<std::uint32_t>(rng.uniformInt(-8, 8))
+            : static_cast<std::uint32_t>(rng.next());
+        for (int i = 0; i < 4; ++i)
+            record[i] = static_cast<char>((length >> (8 * i)) & 0xff);
+    }
+    std::string bytes;
+    for (const auto& record : records)
+        bytes += record;
+    if (kind == 3) {
+        for (auto flips = rng.uniformInt(1, 3); flips > 0; --flips) {
+            const std::size_t at = rng.next() % bytes.size();
+            bytes[at] =
+                static_cast<char>(bytes[at] ^ (1 << (rng.next() % 8)));
+        }
+    } else if (kind == 4) {
+        bytes.resize(rng.next() % bytes.size());
+    }
+    return bytes;
+}
+
+/** Child exit code for a replay that dropped a torn tail. */
+constexpr int kReplayedTornTail = 2;
+
+} // namespace
+
+// Every mutated journal either replays (its stats deltas applied to a
+// scratch registry) or ends the process through the journal's fatal
+// error. Nothing may abort, die by a signal or throw past readJournal.
+TEST(JournalDeathTest, MutatedJournalsReplayOrExitThroughJournalError)
+{
+    constexpr int kCases = 320;
+    TempPath tmp("mutated");
+    {
+        JournalWriter writer;
+        writer.open(tmp.path);
+        writer.planBegin({0, "plan-a", 3, 0xfeedu});
+        writer.job(jobRecord(0, 0, {"payload0", ""}));
+        writer.job(jobRecord(0, 1, {"", "deterministic boom"},
+                             mixedDelta()));
+        writer.job(jobRecord(0, 2, {std::string(300, 'p'), ""},
+                             mixedDelta()));
+        writer.planEnd({0});
+        writer.planBegin({1, "plan-b", 2, 0xbeefu});
+        writer.job(jobRecord(1, 0, {"payload-b0", ""}, mixedDelta()));
+    }
+    const std::vector<std::string> records =
+        splitRecords(fileBytes(tmp.path));
+    ASSERT_EQ(records.size(), 8u);
+
+    Rng rng(24);
+    int replayed = 0, tornTails = 0, fatals = 0;
+    for (int c = 0; c < kCases; ++c) {
+        {
+            std::ofstream os(tmp.path,
+                             std::ios::binary | std::ios::trunc);
+            os << mutateJournal(records, c % 5, rng);
+        }
+        int status = -1;
+        const auto replayedOrFatal = [&status](int s) {
+            status = s;
+            if (!WIFEXITED(s))
+                return false;
+            const int code = WEXITSTATUS(s);
+            return code == 0 || code == 1 || code == kReplayedTornTail;
+        };
+        // A replay says so; a fatal exit must name the journal.
+        EXPECT_EXIT(
+            {
+                const JournalReplay replay = readJournal(tmp.path);
+                obs::Registry scratch;
+                applyJournaledStats(replay, tmp.path, scratch);
+                std::fputs("replayed\n", stderr);
+                std::_Exit(replay.truncatedTail ? kReplayedTornTail : 0);
+            },
+            replayedOrFatal, "replayed|journal: ")
+            << "mutation case " << c;
+        if (WIFEXITED(status)) {
+            const int code = WEXITSTATUS(status);
+            replayed += code == 0;
+            tornTails += code == kReplayedTornTail;
+            fatals += code == 1;
+        }
+    }
+    EXPECT_GT(replayed, 0);
+    EXPECT_GT(tornTails, 0);
+    EXPECT_GT(fatals, 0);
 }
 
 // --- Handshake rejections and framing violations ------------------------

@@ -18,6 +18,7 @@
 #include "common/rng.hpp"
 #include "core/codecrunch.hpp"
 #include "experiments/driver.hpp"
+#include "faults/backoff.hpp"
 #include "faults/fault_plan.hpp"
 #include "policy/fixed_keepalive.hpp"
 #include "trace/generator.hpp"
@@ -332,12 +333,12 @@ TEST(ClusterFaults, ChurnPreservesCapacityInvariants)
 
 TEST(DriverFaults, RetryBackoffIsCappedExponential)
 {
-    EXPECT_DOUBLE_EQ(retryBackoff(1, 0.5, 30.0), 0.5);
-    EXPECT_DOUBLE_EQ(retryBackoff(2, 0.5, 30.0), 1.0);
-    EXPECT_DOUBLE_EQ(retryBackoff(3, 0.5, 30.0), 2.0);
-    EXPECT_DOUBLE_EQ(retryBackoff(4, 0.5, 30.0), 4.0);
-    EXPECT_DOUBLE_EQ(retryBackoff(10, 0.5, 30.0), 30.0);
-    EXPECT_DOUBLE_EQ(retryBackoff(100, 0.5, 30.0), 30.0);
+    EXPECT_DOUBLE_EQ(faults::retryBackoff(1, 0.5, 30.0), 0.5);
+    EXPECT_DOUBLE_EQ(faults::retryBackoff(2, 0.5, 30.0), 1.0);
+    EXPECT_DOUBLE_EQ(faults::retryBackoff(3, 0.5, 30.0), 2.0);
+    EXPECT_DOUBLE_EQ(faults::retryBackoff(4, 0.5, 30.0), 4.0);
+    EXPECT_DOUBLE_EQ(faults::retryBackoff(10, 0.5, 30.0), 30.0);
+    EXPECT_DOUBLE_EQ(faults::retryBackoff(100, 0.5, 30.0), 30.0);
 }
 
 TEST(DriverFaults, AllAttemptsFailingExhaustsRetries)

@@ -5,13 +5,17 @@
  * frame bodies (round trip, raw fallback, corrupt bodies, the raw-size
  * bound), and seeded mutated streams of valid protocol frames pushed
  * through FrameParser and the protocol.hpp decoders, with every decoded
- * stats delta applied to a scratch registry. Nothing here opens
- * a socket or starts a thread, so the sanitizer jobs run it whole.
+ * stats delta applied to a scratch registry, and the largest single
+ * allocation a decode makes for a vector length it cannot fill. Nothing
+ * here opens a socket or starts a thread, so the sanitizer jobs run it
+ * whole.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <optional>
 #include <string>
 #include <vector>
@@ -445,4 +449,70 @@ TEST(FrameStream, MutatedStreamsYieldFramesNothingOrDecodeErrors)
     EXPECT_GT(payloadErrors, 0u);
     EXPECT_GT(refusedDeltas, 0u);
     EXPECT_GT(streamErrors, 0u);
+}
+
+// --- Decode allocations --------------------------------------------------
+
+namespace {
+
+/** While set, operator new records its largest request. */
+bool trackAllocations = false;
+std::size_t largestAllocation = 0;
+
+} // namespace
+
+// Every operator new and delete in this binary goes through malloc and
+// free, so a test can see the largest single request a decode makes.
+// Not inlined: GCC would otherwise see `new` expressions freed by
+// free() and warn of a mismatch.
+[[gnu::noinline]] void*
+operator new(std::size_t size)
+{
+    if (trackAllocations)
+        largestAllocation = std::max(largestAllocation, size);
+    if (void* block = std::malloc(size == 0 ? 1 : size))
+        return block;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void* block) noexcept
+{
+    std::free(block);
+}
+
+[[gnu::noinline]] void
+operator delete(void* block, std::size_t) noexcept
+{
+    std::free(block);
+}
+
+TEST(DecodeAllocation, ClaimedVectorLengthReservesNoMoreThanThePayload)
+{
+    // A JobResult whose stats.histograms length claims 4 Mi entries,
+    // followed by 4 MiB of 0xff, from which no entry decodes: the
+    // first name's length prefix is far past the payload. The claim
+    // passes the one-byte-per-element check, but each entry is 96
+    // bytes in memory, so reserving it would ask for ~400 MB.
+    constexpr std::uint64_t kClaimed = 4u << 20;
+    std::string payload =
+        JobCodec<JobResult>::encode({7, 3, {"payload", ""}, {}});
+    // The histograms' length prefix is the last field on the wire.
+    payload.resize(payload.size() - 8);
+    ByteWriter claim;
+    claim.u64(kClaimed);
+    payload += claim.take();
+    payload.append(kClaimed, '\xff');
+
+    largestAllocation = 0;
+    trackAllocations = true;
+    bool refused = false;
+    try {
+        JobCodec<JobResult>::decode(payload);
+    } catch (const DecodeError&) {
+        refused = true;
+    }
+    trackAllocations = false;
+    EXPECT_TRUE(refused);
+    EXPECT_LE(largestAllocation, payload.size());
 }

@@ -1,12 +1,14 @@
 /**
  * @file
- * Test-only copy of the pre-calendar-queue binary-heap EventQueue.
+ * Test-only copy of the simulator's original binary-heap EventQueue.
  *
- * The calendar/ladder rewrite of src/sim/event_queue.hpp is proven
- * correct by running this implementation side by side with the new one
- * over a large randomized op stream (sim_core_test.cpp,
- * DifferentialQueue*) and asserting identical pop sequences. The class
- * is a rename of the old queue, kept verbatim so the oracle's
+ * src/sim/event_queue.hpp is proven correct by running this
+ * implementation side by side with it over large randomized op streams
+ * (sim_core_test.cpp, DifferentialQueue*) and asserting identical pop
+ * sequences. The oracle stays a different implementation from the
+ * queue it checks: a shared_ptr per event, std::push_heap/pop_heap
+ * over a binary heap, and callbacks held in the heap entries. The
+ * class is a rename of the old queue, kept verbatim so the oracle's
  * semantics are exactly what every golden artifact was generated
  * against. It lives under tests/ and is not linked into the simulator.
  */

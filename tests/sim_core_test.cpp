@@ -1,23 +1,25 @@
 /**
  * @file
- * Tests for the rebuilt simulation core (the scale tentpole):
+ * Tests for the simulation core's event queue at scale:
  *
- *  - Differential queue suite: the calendar/ladder EventQueue replayed
- *    side by side with the retired binary-heap implementation
- *    (legacy_heap_queue.hpp) over a seeded ~10^6-operation stream of
+ *  - Differential queue suite: the 4-ary-heap EventQueue replayed side
+ *    by side with the original binary-heap implementation
+ *    (legacy_heap_queue.hpp: a shared_ptr per event, callbacks held in
+ *    the heap entries) over a seeded ~10^6-operation stream of
  *    schedules, same-timestamp bursts, cancellations, steps and
  *    bounded runs — the fire sequences must match element for element,
- *    which is the proof that every golden artifact survives the
- *    rewrite.
- *  - Fault-seeded epochs: far-future events scheduled first, then a
+ *    which is the proof that every golden artifact is independent of
+ *    the queue's structure.
+ *  - Fault-seeded runs: far-future events scheduled first, then a
  *    dense or sparse event chain below them. Fire sequences must match
- *    the heap's and Bottom's stored size must stay bounded.
- *  - Ladder-specific ordering: FIFO within a timestamp across Top
- *    spills and epoch boundaries, where a calendar queue could
- *    plausibly reorder. Non-finite event times panic.
- *  - Pooled handle state: handles outlive the queue, and every
- *    differential run recycles event states through the pool's LIFO
- *    free list.
+ *    the legacy heap's.
+ *  - Ordering edge cases: FIFO within a timestamp for a large burst,
+ *    for events scheduled at the current time from inside the burst,
+ *    and after the queue drains and refills. Non-finite event times
+ *    panic.
+ *  - Pooled handle state: handles outlive the queue, callbacks die
+ *    when they fire or with the queue, and every differential run
+ *    recycles event states through the pool's LIFO free list.
  */
 #include <gtest/gtest.h>
 
@@ -25,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -53,8 +56,8 @@ struct QueueOp {
 /**
  * Seeded op stream. Schedules dominate; delays mix integer-quantized
  * values (forced same-timestamp collisions), short continuous delays
- * and far-future ones (exercising the ladder's Top pile), so every
- * structural path of the calendar queue sees traffic.
+ * and far-future ones that sit deep in the heap while nearer events
+ * churn above them.
  */
 std::vector<QueueOp>
 makeScript(std::uint64_t seed, std::size_t numOps)
@@ -74,7 +77,7 @@ makeScript(std::uint64_t seed, std::size_t numOps)
                     static_cast<double>(rng.uniformInt(0, 40));
             else if (shape < 0.85) // near-now continuum
                 op.delay = rng.uniform(0.0, 120.0);
-            else // far future: lands in the ladder's Top pile
+            else // far future
                 op.delay = rng.uniform(1000.0, 50000.0);
             op.chain = rng.bernoulli(0.15);
             ++scheduled;
@@ -144,16 +147,16 @@ TEST(DifferentialQueue, MillionOpStreamMatchesLegacyHeap)
 {
     // ~10^6 queue operations once fires/cancels are counted in.
     const auto script = makeScript(/*seed=*/2024, /*numOps=*/400'000);
-    const auto ladder =
+    const auto queue =
         replayScript<EventQueue, EventHandle>(script);
-    const auto heap =
+    const auto legacy =
         replayScript<legacy::LegacyHeapQueue,
                      legacy::LegacyEventHandle>(script);
-    ASSERT_EQ(ladder.size(), heap.size());
-    for (std::size_t i = 0; i < ladder.size(); ++i) {
-        ASSERT_EQ(ladder[i].second, heap[i].second)
+    ASSERT_EQ(queue.size(), legacy.size());
+    for (std::size_t i = 0; i < queue.size(); ++i) {
+        ASSERT_EQ(queue[i].second, legacy[i].second)
             << "fire sequence diverges at position " << i;
-        ASSERT_DOUBLE_EQ(ladder[i].first, heap[i].first)
+        ASSERT_DOUBLE_EQ(queue[i].first, legacy[i].first)
             << "fire time diverges at position " << i;
     }
 }
@@ -162,24 +165,23 @@ TEST(DifferentialQueue, MultipleSeedsMatch)
 {
     for (const std::uint64_t seed : {1ull, 7ull, 99ull}) {
         const auto script = makeScript(seed, 30'000);
-        const auto ladder =
+        const auto queue =
             replayScript<EventQueue, EventHandle>(script);
-        const auto heap =
+        const auto legacy =
             replayScript<legacy::LegacyHeapQueue,
                          legacy::LegacyEventHandle>(script);
-        EXPECT_EQ(ladder, heap) << "seed " << seed;
+        EXPECT_EQ(queue, legacy) << "seed " << seed;
     }
 }
 
-// --- fault-seeded epochs ----------------------------------------------------
+// --- fault-seeded runs ------------------------------------------------------
 
 namespace {
 
 /**
  * The queue shape Driver::run produces. A few dozen far-future fault
- * events go in first, so the first Top spill sorts them straight into
- * Bottom and every later event lands below topStart_. On top runs a
- * self-rescheduling arrival chain. Each arrival schedules a short
+ * events go in first, and every later event lands below the last of
+ * them. On top runs a self-rescheduling arrival chain. Each arrival schedules a short
  * finish and cancels and re-arms its function's long expiry
  * (keep-alive retargeting). Arrival `burstAt` also schedules
  * `burstSize` events at one timestamp, each of which schedules a
@@ -199,7 +201,6 @@ struct FaultSeededShape {
 struct FaultSeededRun {
     std::vector<std::pair<double, std::uint64_t>> fired;
     std::size_t maxPending = 0;
-    std::size_t maxBottom = 0; // peak bottomEntries(); ladder only
 };
 
 template <typename Queue, typename Handle>
@@ -228,9 +229,6 @@ replayFaultSeeded(const FaultSeededShape& shape, std::uint64_t seed)
     const auto record = [&](std::uint64_t id) {
         run.fired.emplace_back(queue.now(), id);
         run.maxPending = std::max(run.maxPending, queue.pending());
-        if constexpr (requires { queue.bottomEntries(); })
-            run.maxBottom =
-                std::max(run.maxBottom, queue.bottomEntries());
     };
     // Every event gets its own id: faults first, then three per
     // arrival (arrival, finish, expiry), then two per burst event (the
@@ -281,13 +279,13 @@ replayFaultSeeded(const FaultSeededShape& shape, std::uint64_t seed)
 }
 
 void
-expectSameFires(const FaultSeededRun& ladder, const FaultSeededRun& heap)
+expectSameFires(const FaultSeededRun& queue, const FaultSeededRun& legacy)
 {
-    ASSERT_EQ(ladder.fired.size(), heap.fired.size());
-    for (std::size_t i = 0; i < ladder.fired.size(); ++i) {
-        ASSERT_EQ(ladder.fired[i].second, heap.fired[i].second)
+    ASSERT_EQ(queue.fired.size(), legacy.fired.size());
+    for (std::size_t i = 0; i < queue.fired.size(); ++i) {
+        ASSERT_EQ(queue.fired[i].second, legacy.fired[i].second)
             << "fire sequence diverges at position " << i;
-        ASSERT_EQ(ladder.fired[i].first, heap.fired[i].first)
+        ASSERT_EQ(queue.fired[i].first, legacy.fired[i].first)
             << "fire time diverges at position " << i;
     }
 }
@@ -297,10 +295,7 @@ expectSameFires(const FaultSeededRun& ladder, const FaultSeededRun& heap)
 TEST(DifferentialQueue, FaultSeededEpochMatchesLegacyHeap)
 {
     // ~400 live expiries, a few finishes and one 200-event burst, all
-    // below the last fault: the shape that used to keep every event
-    // in one sorted Bottom. The 20,000 simulated seconds are long
-    // enough that a ladder keeping its spent rungs would reach
-    // kMaxDepth and fall back to a growing Bottom.
+    // below the last fault, over 20,000 simulated seconds.
     FaultSeededShape shape;
     shape.faults = 48;
     shape.arrivals = 200'000;
@@ -310,38 +305,31 @@ TEST(DifferentialQueue, FaultSeededEpochMatchesLegacyHeap)
     shape.keepAlive = 600.0;
     shape.burstAt = 30'000;
     shape.burstSize = 200;
-    const auto ladder =
+    const auto queue =
         replayFaultSeeded<EventQueue, EventHandle>(shape, 11);
-    const auto heap =
+    const auto legacy =
         replayFaultSeeded<legacy::LegacyHeapQueue,
                           legacy::LegacyEventHandle>(shape, 11);
-    expectSameFires(ladder, heap);
-    EXPECT_GT(ladder.maxPending, 400u);
-    // Bottom's live tail spills into a rung past 64 entries, or past
-    // twice the largest same-timestamp group it holds, and its stored
-    // size is at most twice its live tail plus one.
-    EXPECT_LE(ladder.maxBottom,
-              2 * (2 * static_cast<std::size_t>(shape.burstSize) + 1) +
-                  1);
+    expectSameFires(queue, legacy);
+    EXPECT_GT(queue.maxPending, 400u);
 }
 
-TEST(EventQueue, SparseFaultSeededEpochKeepsBottomSmall)
+TEST(EventQueue, SparseFaultSeededEpochMatchesLegacyHeap)
 {
-    // Fewer than 64 events pending at any time, so Bottom never spills
-    // into a rung; it must still drop its consumed prefix.
+    // Fewer than 64 events pending at any time, below the far-future
+    // faults.
     FaultSeededShape shape;
     shape.faults = 16;
     shape.arrivals = 200'000;
     shape.meanGap = 1.0;
     shape.finishMax = 2.0;
-    const auto ladder =
+    const auto queue =
         replayFaultSeeded<EventQueue, EventHandle>(shape, 12);
-    const auto heap =
+    const auto legacy =
         replayFaultSeeded<legacy::LegacyHeapQueue,
                           legacy::LegacyEventHandle>(shape, 12);
-    expectSameFires(ladder, heap);
-    ASSERT_LT(ladder.maxPending, 64u);
-    EXPECT_LE(ladder.maxBottom, 2 * ladder.maxPending + 1);
+    expectSameFires(queue, legacy);
+    ASSERT_LT(queue.maxPending, 64u);
 }
 
 TEST(EventQueue, NanTimePanics)
@@ -360,16 +348,14 @@ TEST(EventQueue, InfiniteTimePanics)
                  "non-finite event time");
 }
 
-// --- ladder-specific ordering ----------------------------------------------
+// --- ordering edge cases ----------------------------------------------------
 
-TEST(EventQueue, FifoWithinTimestampAcrossTopSpill)
+TEST(EventQueue, FifoWithinTimestampAcrossLargeBurst)
 {
-    // 300 same-timestamp events land in the unsorted Top pile, spill
-    // into a fresh ladder epoch and take the zero-range sort path;
-    // FIFO within the timestamp must survive all of it. The 100th
-    // callback schedules 50 more at the SAME (now current) timestamp,
-    // which insert against an active ladder — they must fire after
-    // every original, again in insertion order.
+    // 300 same-timestamp events: only seq orders them, and FIFO within
+    // the timestamp must hold through every sift. The 100th callback
+    // schedules 50 more at the SAME (now current) timestamp — they
+    // must fire after every original, again in insertion order.
     EventQueue queue;
     std::vector<int> order;
     for (int i = 0; i < 300; ++i) {
@@ -389,10 +375,10 @@ TEST(EventQueue, FifoWithinTimestampAcrossTopSpill)
         EXPECT_EQ(order[i], i);
 }
 
-TEST(EventQueue, FifoSurvivesEpochBoundary)
+TEST(EventQueue, FifoSurvivesDrainAndRefill)
 {
-    // Drain the queue completely (epoch ends, ladder deactivates),
-    // then run a second same-timestamp burst in the next epoch.
+    // Drain the queue completely, then run a second burst of two
+    // interleaved timestamps into the emptied heap.
     EventQueue queue;
     std::vector<int> order;
     for (int i = 0; i < 100; ++i)
@@ -450,4 +436,25 @@ TEST(EventQueue, HandlesOutliveQueue)
     }
     EXPECT_TRUE(survivor.pending());
     survivor.cancel(); // no queue left: must not crash
+}
+
+TEST(EventQueue, CallbacksDieWhenFiredOrWithTheQueue)
+{
+    // Callbacks live in the pooled slots that handles share, so
+    // neither a fired event's handle nor one that outlives the queue
+    // may keep a callback's captures alive.
+    auto capture = std::make_shared<int>(0);
+    EventHandle fired, pending;
+    {
+        EventQueue queue;
+        fired = queue.schedule(1.0, [capture] {});
+        pending = queue.schedule(5.0, [capture] {});
+        queue.schedule(6.0, [capture] {}).cancel();
+        EXPECT_EQ(capture.use_count(), 4);
+        queue.runUntil(2.0);
+        EXPECT_TRUE(fired.fired());
+        EXPECT_EQ(capture.use_count(), 3);
+    }
+    EXPECT_EQ(capture.use_count(), 1);
+    EXPECT_TRUE(pending.pending());
 }
